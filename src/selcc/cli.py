@@ -44,6 +44,13 @@ class GameFileError(ValueError):
     """Raised when a game document fails validation."""
 
 
+# The deepest sequential game ``solve`` accepts.  Backward induction nests
+# about seven Python frames per stage, so 100 stages stay well inside the
+# default recursion limit of 1000 (measured: 115 stages still solve under
+# pytest, 120 do not).
+MAX_SEQUENTIAL_STAGES = 100
+
+
 # ---------------------------------------------------------------------------
 # Boolean formula mini-parser.
 #
@@ -193,8 +200,9 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
 
     Sequential games carry "players", "stages" (controller index + move
     list each) and a "payoffs" object keyed by comma-joined plays; the payoff
-    table must be total and every utility vector must have one entry per
-    player.  Simultaneous games carry two players, two move lists and a
+    table must be total, every utility vector must have one entry per player,
+    and there may be at most :data:`MAX_SEQUENTIAL_STAGES` stages.
+    Simultaneous games carry two players, two move lists and a
     payoff object keyed by "rowmove,colmove".
     """
     if not isinstance(doc, dict):
@@ -207,6 +215,11 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
         raw_stages = doc.get("stages")
         if not isinstance(raw_stages, list):
             raise GameFileError('"stages" must be an array')
+        if len(raw_stages) > MAX_SEQUENTIAL_STAGES:
+            raise GameFileError(
+                f"sequential game has {len(raw_stages)} stages; "
+                f"the limit is {MAX_SEQUENTIAL_STAGES}"
+            )
         stages = []
         for index, raw in enumerate(raw_stages):
             if not isinstance(raw, dict):

@@ -10,6 +10,13 @@ selection computations re-runs continuations, which is what makes products of
 selections search, and is the source of every interesting behaviour in
 :mod:`selcc.search` and :mod:`selcc.games`.
 
+The paper's selection bind runs the chosen branch twice: once to score it and
+once more to produce the result.  :func:`sel_bind` serves the second run from
+a memo scoped to one chooser call, so every branch that is scored runs once
+per call.  The result is the same value the second run would return, so
+traces and answers are unchanged; only the evaluation counts drop (a binary
+n-stage game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
+
 Both computation types are generic over the pluggable effects from
 :mod:`selcc.effects`; the type parameters are static metadata only.
 """
@@ -69,19 +76,31 @@ def sel_bind(
     ``eps`` scores a candidate ``x`` by running ``f(x)`` against ``k`` and
     feeding the resulting intermediate value back into ``k``.  The chosen ``x``
     is then run through ``f`` once more to produce the intermediate value at
-    ``Y``.  That second pass is deliberate: it is what re-executes downstream
-    effects and gives products of selections their search behaviour.
+    ``Y``.  That second pass is served from a memo that lives for one
+    ``chooser(k)`` call: ``k`` is fixed within it and ``f`` and every chooser
+    are pure, so a scored candidate's ``f(x).chooser(k)`` is exactly what a
+    second run would return.  Effects are values (a trace log, a set of
+    alternatives), so the effect of the chosen branch still enters the result
+    once through the scoring bind and once through the outer bind, as in the
+    paper's definition.  The memo is keyed by object identity, not equality,
+    because ``f`` may tell equal candidates such as ``1`` and ``True`` apart;
+    each entry keeps its candidate alive so its id cannot be reused.
     """
     eff = eps.effect
     bind_m = eff.bind
     eps_chooser = eps.chooser
 
     def chooser(k: Continuation) -> Any:
+        runs: dict[int, tuple[Any, Any]] = {}
+
         def extended(x: Any) -> Any:
-            return bind_m(f(x).chooser(k), k)
+            inner = f(x).chooser(k)
+            runs[id(x)] = (x, inner)
+            return bind_m(inner, k)
 
         def chosen(x: Any) -> Any:
-            return f(x).chooser(k)
+            run = runs.get(id(x))
+            return run[1] if run is not None else f(x).chooser(k)
 
         return bind_m(eps_chooser(extended), chosen)
 

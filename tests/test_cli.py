@@ -23,6 +23,7 @@ from selcc import (
     parse_game,
     sat_callcc,
 )
+from selcc.cli import MAX_SEQUENTIAL_STAGES
 
 _SEQ_DOC = {
     "type": "sequential",
@@ -50,6 +51,16 @@ _SIM_DOC = {
         "B,B": [1, 1],
     },
 }
+
+
+def _single_move_doc(n_stages: int) -> dict:
+    """A sequential game with one move per stage: one play, any depth."""
+    return {
+        "type": "sequential",
+        "players": ["P"],
+        "stages": [{"controller": 0, "moves": ["x"]}] * n_stages,
+        "payoffs": {",".join(["x"] * n_stages): [7]},
+    }
 
 
 def _truth_table(formula, arity: int) -> tuple[bool, ...]:
@@ -324,6 +335,21 @@ class TestSolveCommand:
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path)]) == 2
         assert "missing payoff" in capsys.readouterr().err
+
+    def test_game_at_the_stage_limit_solves(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(_single_move_doc(MAX_SEQUENTIAL_STAGES)))
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["play: " + " ".join(["x"] * MAX_SEQUENTIAL_STAGES), "outcome: 7"]
+
+    def test_game_above_the_stage_limit_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(GameFileError, match="limit is 100"):
+            parse_game(_single_move_doc(MAX_SEQUENTIAL_STAGES + 1))
+        path = tmp_path / "too_deep.json"
+        path.write_text(json.dumps(_single_move_doc(200)))
+        assert main(["solve", str(path)]) == 2
+        assert "200 stages; the limit is 100" in capsys.readouterr().err
 
 
 class TestLawsCommand:

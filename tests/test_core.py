@@ -108,6 +108,61 @@ class TestSelBind:
         assert run_selection(sel_bind(sel_unit(a), f), k) == run_selection(f(a), k)
 
 
+class TestSelBindRunsEachBranchOnce:
+    """Within one chooser call, the chosen branch is not run a second time."""
+
+    @staticmethod
+    def _counting_family():
+        runs = []
+
+        def f(x):
+            def chooser(k):
+                runs.append(x)
+                return x
+
+            return SelectionComputation(chooser, _ID)
+
+        return f, runs
+
+    @staticmethod
+    def _score_true_then_choose(choice):
+        def chooser(k):
+            k(True)
+            return choice
+
+        return SelectionComputation(chooser, _ID)
+
+    def test_a_scored_choice_is_reused(self):
+        f, runs = self._counting_family()
+        eps = self._score_true_then_choose(True)
+        assert run_selection(sel_bind(eps, f), lambda b: b) is True
+        assert runs == [True]
+
+    def test_an_unscored_choice_still_runs(self):
+        f, runs = self._counting_family()
+        eps = self._score_true_then_choose(False)
+        assert run_selection(sel_bind(eps, f), lambda b: b) is False
+        assert runs == [True, False]
+
+    def test_the_memo_is_keyed_by_identity_not_equality(self):
+        # 1 == True, but f tells them apart; an equality-keyed memo would
+        # hand back the run for 1 and answer "int".
+        def chooser(k):
+            k(1)
+            return True
+
+        f = lambda x: sel_unit(type(x).__name__)
+        eps = SelectionComputation(chooser, _ID)
+        assert run_selection(sel_bind(eps, f), lambda name: name) == "bool"
+
+    def test_the_memo_does_not_outlive_a_chooser_call(self):
+        f, runs = self._counting_family()
+        bound = sel_bind(self._score_true_then_choose(True), f)
+        for _ in range(3):
+            run_selection(bound, lambda b: b)
+        assert runs == [True, True, True]
+
+
 class TestQuantBind:
     def test_exists_then_negation(self):
         phi = _exists_bool()

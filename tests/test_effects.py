@@ -108,6 +108,22 @@ class TestNondetEffect:
         )
         assert result.alternatives == ((1, 2),)
 
+    def test_dedup_of_unhashable_alternatives_falls_back_to_a_scan(self):
+        eff = nondet_effect()
+        result = eff.bind(
+            NondetValue(([1], [2])), lambda xs: NondetValue((xs, [1], xs + [0]))
+        )
+        assert result.alternatives == ([1], [1, 0], [2], [2, 0])
+
+    def test_dedup_of_mixed_alternatives_matches_the_hashed_path(self):
+        # An unhashable alternative met midway restarts the dedup as a scan;
+        # both paths compare with ==, so 1 and True still collapse.
+        eff = nondet_effect()
+        mixed = eff.bind(NondetValue((1, True, [3], 1.0, [3])), eff.unit)
+        hashed = eff.bind(NondetValue((1, True, 1.0)), eff.unit)
+        assert mixed.alternatives == (1, [3])
+        assert hashed.alternatives == (1,)
+
     def test_instance_is_shared(self):
         assert nondet_effect() is nondet_effect()
         assert nondet_effect().name == "Nondet"

@@ -277,6 +277,44 @@ class TestBackwardInduction:
             backward_induction_oracle(game)
 
 
+def _counting_game(
+    moves_per_stage: int, n_stages: int
+) -> tuple[SequentialGameSpec, list[int]]:
+    """A two-player alternating game whose payoff counts its calls."""
+    calls = [0]
+
+    def payoff(play):
+        calls[0] += 1
+        return (sum(map(len, play)) % 5, len(set(play)))
+
+    stages = tuple(
+        Stage(i % 2, tuple(f"m{j}" for j in range(moves_per_stage)))
+        for i in range(n_stages)
+    )
+    return SequentialGameSpec(("P1", "P2"), stages, payoff), calls
+
+
+class TestBackwardInductionPayoffCounts:
+    """Exact payoff-call counts: (m^(n+1) - 1) / (m - 1) for m moves over n
+    stages, the final ``payoff(play)`` included, because each stage's chosen
+    move is scored once and then reused rather than run again."""
+
+    @pytest.mark.parametrize(
+        "moves, stages, expected", [(2, 8, 511), (3, 6, 1093), (8, 3, 585)]
+    )
+    def test_uniform_games(self, moves, stages, expected):
+        game, calls = _counting_game(moves, stages)
+        assert backward_induction(game) == backward_induction_oracle(game)
+        calls[0] = 0
+        backward_induction(game)
+        assert calls[0] == expected
+
+    def test_single_move_stages_make_one_call_per_stage_plus_one(self):
+        game, calls = _counting_game(1, 18)
+        assert backward_induction(game) == (("m0",) * 18, (36 % 5, 1))
+        assert calls[0] == 19
+
+
 class TestSimultaneousGames:
     def test_matching_pennies_has_no_equilibrium(self):
         assert _equilibria_of(_matching_pennies()) == ()

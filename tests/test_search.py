@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -55,6 +56,17 @@ def _truth_table_formula(arity: int, table: tuple[bool, ...]) -> BooleanFormula:
     assignments = list(itertools.product((False, True), repeat=arity))
     mapping = dict(zip(assignments, table))
     return BooleanFormula(arity, lambda bits: mapping[tuple(bits)])
+
+
+def _counting(formula: BooleanFormula) -> tuple[BooleanFormula, list[int]]:
+    """The same formula, with a one-slot counter of its evaluations."""
+    calls = [0]
+
+    def evaluate(bits):
+        calls[0] += 1
+        return formula.evaluate(bits)
+
+    return BooleanFormula(formula.arity, evaluate), calls
 
 
 class TestBoolProbe:
@@ -167,3 +179,31 @@ class TestProductAgainstOracle:
         formula = _truth_table_formula(4, tuple(table))
         chosen = sat_product(formula)
         assert formula.evaluate(chosen) == (sat_oracle(formula) is not None)
+
+
+class TestSatProductEvaluationCounts:
+    """Exact formula-evaluation counts: each probe's chosen branch runs once
+    per chooser call, so a search stops re-running what it has scored."""
+
+    def test_all_true_formula_needs_one_evaluation_per_variable(self):
+        formula, calls = _counting(BooleanFormula(20, all))
+        assert sat_product(formula) == (True,) * 20
+        assert calls[0] == 20
+
+    @pytest.mark.parametrize("arity", [1, 2, 5, 12])
+    def test_unsatisfiable_formula_makes_exactly_two_to_the_n_minus_one(self, arity):
+        formula, calls = _counting(BooleanFormula(arity, lambda _: False))
+        assert sat_product(formula) == (False,) * arity
+        assert calls[0] == 2**arity - 1
+
+    def test_random_tables_stay_within_the_bound_and_agree_with_the_oracle(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            arity = rng.randint(1, 10)
+            density = rng.choice((0.0, 0.001, 0.01, 0.1, 0.5))
+            table = tuple(rng.random() < density for _ in range(2**arity))
+            plain = _truth_table_formula(arity, table)
+            formula, calls = _counting(plain)
+            chosen = sat_product(formula)
+            assert calls[0] <= 2**arity - 1
+            assert plain.evaluate(chosen) == (sat_oracle(plain) is not None)
