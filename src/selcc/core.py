@@ -16,6 +16,8 @@ a memo scoped to one chooser call, so every branch that is scored runs once
 per call.  The result is the same value the second run would return, so
 traces and answers are unchanged; only the evaluation counts drop (a binary
 n-stage game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
+``rerun=True`` keeps the paper's second run; :func:`selcc.search.sat_product`
+uses it so that its cost does not depend on the formula.
 
 Both computation types are generic over the pluggable effects from
 :mod:`selcc.effects`; the type parameters are static metadata only.
@@ -69,6 +71,8 @@ def sel_unit(x: X, eff: EffectInstance | None = None) -> SelectionComputation[X,
 def sel_bind(
     eps: SelectionComputation[X, R],
     f: Callable[[X], SelectionComputation[Y, R]],
+    *,
+    rerun: bool = False,
 ) -> SelectionComputation[Y, R]:
     """Sequence a selection into a dependent family of selections.
 
@@ -85,10 +89,27 @@ def sel_bind(
     paper's definition.  The memo is keyed by object identity, not equality,
     because ``f`` may tell equal candidates such as ``1`` and ``True`` apart;
     each entry keeps its candidate alive so its id cannot be reused.
+
+    ``rerun=True`` is the paper's bind as written: no memo, and the chosen
+    ``x`` runs through ``f`` a second time.  The result is the same; only the
+    continuation calls of the chosen branch are made twice.
     """
     eff = eps.effect
     bind_m = eff.bind
     eps_chooser = eps.chooser
+
+    if rerun:
+
+        def rerun_chooser(k: Continuation) -> Any:
+            def extended(x: Any) -> Any:
+                return bind_m(f(x).chooser(k), k)
+
+            def chosen(x: Any) -> Any:
+                return f(x).chooser(k)
+
+            return bind_m(eps_chooser(extended), chosen)
+
+        return SelectionComputation(rerun_chooser, eff)
 
     def chooser(k: Continuation) -> Any:
         runs: dict[int, tuple[Any, Any]] = {}
@@ -198,13 +219,16 @@ def sel_product(
 def sel_sequence(
     computations: Iterable[SelectionComputation[X, R]],
     eff: EffectInstance | None = None,
+    *,
+    rerun: bool = False,
 ) -> SelectionComputation[tuple[X, ...], R]:
     """The iterated product: a selection over tuples, one slot per input.
 
     Folded to the right, so later computations are inner (they see earlier
     choices through the continuation).  The empty sequence yields the unit at
     the empty tuple; ``eff`` is only consulted in that case (otherwise the
-    computations' shared effect is used).
+    computations' shared effect is used).  ``rerun`` is passed to every
+    :func:`sel_bind`.
     """
     comps = list(computations)
     if not comps:
@@ -217,7 +241,8 @@ def sel_sequence(
     ) -> SelectionComputation[tuple[X, ...], R]:
         return sel_bind(
             comp,
-            lambda x: sel_bind(rest, lambda xs: sel_unit((x,) + xs, effect)),
+            lambda x: sel_bind(rest, lambda xs: sel_unit((x,) + xs, effect), rerun=rerun),
+            rerun=rerun,
         )
 
     result: SelectionComputation[tuple[X, ...], R] = sel_unit((), effect)

@@ -89,16 +89,6 @@ def tell(line: str) -> TraceValue[None]:
 
 
 def _dedup(items: tuple[Any, ...]) -> tuple[Any, ...]:
-    """Drop repeats, keeping first occurrences in order.
-
-    Hashable alternatives go through ``dict.fromkeys`` in linear time;
-    unhashable ones (lists, say) fall back to a quadratic scan.  Both compare
-    with ``==``, so they give the same result.
-    """
-    try:
-        return tuple(dict.fromkeys(items))
-    except TypeError:
-        pass
     seen: list[Any] = []
     for item in items:
         if item not in seen:

@@ -67,10 +67,14 @@ def sat_product(formula: BooleanFormula) -> Assignment:
     """Solve a formula by running the product of boolean probes against it.
 
     Returns a satisfying assignment whenever one exists; the all-False
-    assignment otherwise.  Deterministic and pure.
+    assignment otherwise.  Deterministic and pure.  The product re-runs each
+    chosen branch, as the paper's bind does (``rerun=True``), so every formula
+    costs exactly ``2^n - 1`` evaluations, satisfiable or not.  With
+    :func:`sel_bind`'s memo a satisfiable formula would stop early, and the
+    cost would depend on where its first witness lies.
     """
     probes = [bool_probe() for _ in range(formula.arity)]
-    return run_selection(sel_sequence(probes), formula.evaluate)
+    return run_selection(sel_sequence(probes, rerun=True), formula.evaluate)
 
 
 def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:

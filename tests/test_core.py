@@ -144,6 +144,12 @@ class TestSelBindRunsEachBranchOnce:
         assert run_selection(sel_bind(eps, f), lambda b: b) is False
         assert runs == [True, False]
 
+    def test_rerun_runs_the_chosen_branch_again(self):
+        f, runs = self._counting_family()
+        eps = self._score_true_then_choose(True)
+        assert run_selection(sel_bind(eps, f, rerun=True), lambda b: b) is True
+        assert runs == [True, True]
+
     def test_the_memo_is_keyed_by_identity_not_equality(self):
         # 1 == True, but f tells them apart; an equality-keyed memo would
         # hand back the run for 1 and answer "int".

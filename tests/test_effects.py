@@ -108,16 +108,16 @@ class TestNondetEffect:
         )
         assert result.alternatives == ((1, 2),)
 
-    def test_dedup_of_unhashable_alternatives_falls_back_to_a_scan(self):
+    def test_dedup_of_unhashable_alternatives(self):
         eff = nondet_effect()
         result = eff.bind(
             NondetValue(([1], [2])), lambda xs: NondetValue((xs, [1], xs + [0]))
         )
         assert result.alternatives == ([1], [1, 0], [2], [2, 0])
 
-    def test_dedup_of_mixed_alternatives_matches_the_hashed_path(self):
-        # An unhashable alternative met midway restarts the dedup as a scan;
-        # both paths compare with ==, so 1 and True still collapse.
+    def test_dedup_of_mixed_alternatives_compares_with_equality(self):
+        # Unhashable alternatives mixed in change nothing: 1, True and 1.0
+        # are equal, so only the first of them is kept.
         eff = nondet_effect()
         mixed = eff.bind(NondetValue((1, True, [3], 1.0, [3])), eff.unit)
         hashed = eff.bind(NondetValue((1, True, 1.0)), eff.unit)

@@ -16,6 +16,7 @@ from selcc import (
     sat_callcc,
     sat_oracle,
     sat_product,
+    sel_sequence,
 )
 
 _TARGET = BooleanFormula(3, lambda b: b[0] and not b[1] and b[2])
@@ -182,13 +183,9 @@ class TestProductAgainstOracle:
 
 
 class TestSatProductEvaluationCounts:
-    """Exact formula-evaluation counts: each probe's chosen branch runs once
-    per chooser call, so a search stops re-running what it has scored."""
-
-    def test_all_true_formula_needs_one_evaluation_per_variable(self):
-        formula, calls = _counting(BooleanFormula(20, all))
-        assert sat_product(formula) == (True,) * 20
-        assert calls[0] == 20
+    """Exact formula-evaluation counts.  ``sat_product`` re-runs each chosen
+    branch, so its cost is 2^n - 1 for every formula; the memoised product
+    of the same probes stops early on satisfiable ones."""
 
     @pytest.mark.parametrize("arity", [1, 2, 5, 12])
     def test_unsatisfiable_formula_makes_exactly_two_to_the_n_minus_one(self, arity):
@@ -196,7 +193,12 @@ class TestSatProductEvaluationCounts:
         assert sat_product(formula) == (False,) * arity
         assert calls[0] == 2**arity - 1
 
-    def test_random_tables_stay_within_the_bound_and_agree_with_the_oracle(self):
+    def test_all_true_formula_costs_the_same_as_an_unsatisfiable_one(self):
+        formula, calls = _counting(BooleanFormula(12, all))
+        assert sat_product(formula) == (True,) * 12
+        assert calls[0] == 2**12 - 1
+
+    def test_random_tables_cost_exactly_the_bound_and_agree_with_the_oracle(self):
         rng = random.Random(3)
         for _ in range(200):
             arity = rng.randint(1, 10)
@@ -205,5 +207,11 @@ class TestSatProductEvaluationCounts:
             plain = _truth_table_formula(arity, table)
             formula, calls = _counting(plain)
             chosen = sat_product(formula)
-            assert calls[0] <= 2**arity - 1
+            assert calls[0] == 2**arity - 1
             assert plain.evaluate(chosen) == (sat_oracle(plain) is not None)
+
+    def test_memoised_product_needs_one_evaluation_per_variable_on_all(self):
+        formula, calls = _counting(BooleanFormula(20, all))
+        probes = [bool_probe() for _ in range(20)]
+        assert run_selection(sel_sequence(probes), formula.evaluate) == (True,) * 20
+        assert calls[0] == 20
