@@ -5,7 +5,8 @@ Subcommands:
 * ``demo-callcc --which foo|bar`` — run a dialogue demo and print its trace
   log one line per entry, then the numeric result on its own line;
 * ``demo-sat --vars N --formula S`` — run the instrumented SAT search and
-  print its trace, then the final assignment;
+  print its trace, then the final assignment (at most
+  :data:`MAX_DEMO_SAT_VARS` variables);
 * ``solve FILE`` — solve a JSON game file (sequential games by backward
   induction, simultaneous games by the sum of argmax players);
 * ``laws [--seed N] [--samples K]`` — run every law suite and report
@@ -49,6 +50,13 @@ class GameFileError(ValueError):
 # default recursion limit of 1000 (measured: 115 stages still solve under
 # pytest, 120 do not).
 MAX_SEQUENTIAL_STAGES = 100
+
+# The most variables ``demo-sat`` accepts, the same arity limit as
+# ``sat_oracle``.  The search's trace log has 5 * 2**n - 4 lines, so time and
+# memory double per variable (measured: 20 variables print 5,242,876 lines
+# in 10.4 s with a peak RSS of 117 MB on a 2-core Linux x86-64 machine with
+# Python 3.11).
+MAX_DEMO_SAT_VARS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +297,12 @@ def _cmd_demo_sat(args: argparse.Namespace) -> int:
     if args.vars < 1:
         print("error: --vars must be at least 1", file=sys.stderr)
         return 2
+    if args.vars > MAX_DEMO_SAT_VARS:
+        print(
+            f"error: --vars is {args.vars}; the limit is {MAX_DEMO_SAT_VARS}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         formula = parse_formula(args.formula, args.vars)
     except FormulaParseError as exc:
@@ -337,6 +351,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        print("error: --samples must be at least 0", file=sys.stderr)
+        return 2
     reports = run_all(seed=args.seed, samples=args.samples)
     failed = 0
     for report in reports:

@@ -18,7 +18,12 @@ on every continuation, and intern its table.  Every case a direct sweep would
 visit (each computation, Kleisli map and continuation) is still counted, and
 checked as a comparison of two table entries.  The selection and quantifier
 sweeps cover 4.2 and 4.4 million cases with about 86 and 95 thousand runs of
-composed computations.
+composed computations.  The base-effect laws (:func:`_effect_laws`, one driver
+for the identity, trace and nondet effects) do the same one level down: each
+distinct ``bind`` runs once, its result is interned by value, and each
+associativity case compares two ids.  The trace effect's 447,600 cases take
+about 0.2 s instead of 2.1 s for a direct sweep (2-core Linux x86-64, Python
+3.11).
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ from .core import (
     to_quantifier,
 )
 from .effects import (
+    EffectInstance,
     NondetValue,
     TraceValue,
     identity_effect,
@@ -492,62 +498,10 @@ def randomized_monad_reports(seed: int = 0, samples: int = 1000) -> list[LawRepo
 # ---------------------------------------------------------------------------
 
 
-def _identity_effect_laws() -> tuple[int, int]:
-    cases = failures = 0
-    for n_a, n_b, n_c in itertools.product((1, 2, 3), repeat=3):
-        values_a = range(n_a)
-        fs = [t.__getitem__ for t in itertools.product(range(n_b), repeat=n_a)]
-        gs = [t.__getitem__ for t in itertools.product(range(n_c), repeat=n_b)]
-        bind = _IDENTITY.bind
-        unit = _IDENTITY.unit
-        for a in values_a:
-            for f in fs:
-                cases += 1
-                if bind(unit(a), f) != f(a):
-                    failures += 1
-        for m in values_a:
-            cases += 1
-            if bind(m, unit) != m:
-                failures += 1
-        for m in values_a:
-            for f in fs:
-                for g in gs:
-                    cases += 1
-                    if bind(bind(m, f), g) != bind(m, lambda a: bind(f(a), g)):
-                        failures += 1
-    return cases, failures
-
-
-def _trace_effect_laws() -> tuple[int, int]:
-    # Carriers up to 3; function outputs range over an empty or one-line log
-    # crossed with every carrier value (logs are unbounded, so exhaustiveness
-    # is over this documented finite universe).
-    cases = failures = 0
-    bind = _TRACE.bind
-    unit = _TRACE.unit
-    for n_a, n_b, n_c in itertools.product((1, 2, 3), repeat=3):
-        logs = ((), ("line",))
-        ms = [TraceValue(log, v) for log in logs for v in range(n_a)]
-        outs_b = [TraceValue(log, v) for log in logs for v in range(n_b)]
-        outs_c = [TraceValue(log, v) for log in logs for v in range(n_c)]
-        fs = [t.__getitem__ for t in itertools.product(outs_b, repeat=n_a)]
-        gs = [t.__getitem__ for t in itertools.product(outs_c, repeat=n_b)]
-        for a in range(n_a):
-            for f in fs:
-                cases += 1
-                if bind(unit(a), f) != f(a):
-                    failures += 1
-        for m in ms:
-            cases += 1
-            if bind(m, unit) != m:
-                failures += 1
-        for m in ms:
-            for f in fs:
-                for g in gs:
-                    cases += 1
-                    if bind(bind(m, f), g) != bind(m, lambda a: bind(f(a), g)):
-                        failures += 1
-    return cases, failures
+def _trace_values(n: int) -> list[TraceValue]:
+    # Logs are unbounded, so exhaustiveness is over this documented finite
+    # universe: an empty or one-line log crossed with every carrier value.
+    return [TraceValue(log, v) for log in ((), ("line",)) for v in range(n)]
 
 
 def _nondet_sequences(values: Sequence[int]) -> list[NondetValue]:
@@ -558,33 +512,72 @@ def _nondet_sequences(values: Sequence[int]) -> list[NondetValue]:
     return seqs
 
 
-def _nondet_effect_laws(seed: int = 0, samples: int = 2000) -> tuple[int, int]:
-    # Exhaustive at carriers <= 2 (all duplicate-free ordered sequences, all
-    # function tables); randomized at carrier 3 where the table space blows up.
+def _effect_laws(
+    eff: EffectInstance, values: Callable[[int], Sequence[Any]], sizes: Sequence[int]
+) -> tuple[int, int]:
+    """Cases and failures of the three monad laws of ``eff``.
+
+    ``values(n)`` lists the effect values over ``range(n)``.  For every
+    carrier triple in ``sizes`` the sweep takes every ``m`` in ``values(n_a)``
+    and every Kleisli map ``f``, ``g`` tabulated into ``values(n_b)`` and
+    ``values(n_c)``.  A case is one ``(a, f)``, one ``m`` or one ``(m, f, g)``,
+    as in a direct sweep.  Left and right unit run directly.  For
+    associativity each distinct bind runs once: ``bind(m, f)`` for every ``m``
+    and ``f``, ``bind(y, g)`` for every distinct ``y`` and ``g``, and
+    ``bind(m, h)`` for every distinct table ``h`` of ``bind(f(a), g)``.  Each
+    ``(f, g)`` then compares two lists of result ids over every ``m``, whose
+    entries are counted one by one only on a mismatch.
+    """
+    bind, unit = eff.bind, eff.unit
     cases = failures = 0
-    bind = _NONDET.bind
-    unit = _NONDET.unit
-    for n_a, n_b, n_c in itertools.product((1, 2), repeat=3):
-        ms = _nondet_sequences(range(n_a))
-        outs_b = _nondet_sequences(range(n_b))
-        outs_c = _nondet_sequences(range(n_c))
-        fs = [t.__getitem__ for t in itertools.product(outs_b, repeat=n_a)]
-        gs = [t.__getitem__ for t in itertools.product(outs_c, repeat=n_b)]
+    for n_a, n_b, n_c in itertools.product(sizes, repeat=3):
+        ms = values(n_a)
+        fs = list(itertools.product(values(n_b), repeat=n_a))
+        gs = list(itertools.product(values(n_c), repeat=n_b))
         for a in range(n_a):
             for f in fs:
                 cases += 1
-                if bind(unit(a), f) != f(a):
+                if bind(unit(a), f.__getitem__) != f[a]:
                     failures += 1
         for m in ms:
             cases += 1
             if bind(m, unit) != m:
                 failures += 1
-        for m in ms:
-            for f in fs:
-                for g in gs:
-                    cases += 1
-                    if bind(bind(m, f), g) != bind(m, lambda a: bind(f(a), g)):
-                        failures += 1
+
+        # Results are interned by value: equal ids mean equal values.
+        y_ids: dict[Any, int] = {}
+        z_ids: dict[Any, int] = {}
+        f_rows = [[y_ids.setdefault(y, len(y_ids)) for y in f] for f in fs]
+        inner_rows = [
+            [y_ids.setdefault(bind(m, f.__getitem__), len(y_ids)) for m in ms] for f in fs
+        ]
+        # bind(m, a -> bind(f(a), g)) depends on f and g only through the
+        # ids of the bind(f(a), g), so it is shared across them.
+        outer: dict[tuple[int, ...], list[int]] = {}
+        for g in gs:
+            zs = [bind(y, g.__getitem__) for y in y_ids]
+            then_g = [z_ids.setdefault(z, len(z_ids)) for z in zs]
+            for f_row, inner_row in zip(f_rows, inner_rows):
+                lhs = [then_g[i] for i in inner_row]
+                fg = tuple([then_g[i] for i in f_row])
+                rhs = outer.get(fg)
+                if rhs is None:
+                    h = tuple([zs[i] for i in f_row]).__getitem__
+                    rhs = outer[fg] = [z_ids.setdefault(bind(m, h), len(z_ids)) for m in ms]
+                if lhs != rhs:
+                    failures += sum(map(operator.ne, lhs, rhs))
+        cases += len(ms) * len(fs) * len(gs)
+    return cases, failures
+
+
+def _nondet_effect_laws(
+    seed: int = 0, samples: int = 2000, eff: EffectInstance = _NONDET
+) -> tuple[int, int]:
+    # Exhaustive at carriers <= 2 (all duplicate-free ordered sequences, all
+    # function tables); randomized at carrier 3 where the table space blows up.
+    cases, failures = _effect_laws(eff, lambda n: _nondet_sequences(range(n)), (1, 2))
+    bind = eff.bind
+    unit = eff.unit
     rng = random.Random(f"nondet-laws-{seed}")
     seqs3 = _nondet_sequences(range(3))
     for _ in range(samples):
@@ -607,9 +600,18 @@ def _nondet_effect_laws(seed: int = 0, samples: int = 2000) -> tuple[int, int]:
 def effect_law_reports(seed: int = 0) -> list[LawReport]:
     """Monad laws for the three base effects themselves."""
     return [
-        LawReport("identity effect monad laws (exhaustive)", *_identity_effect_laws()),
-        LawReport("trace effect monad laws (exhaustive, bounded logs)", *_trace_effect_laws()),
-        LawReport("nondet effect monad laws (exhaustive <=2 + randomized)", *_nondet_effect_laws(seed)),
+        LawReport(
+            "identity effect monad laws (exhaustive)",
+            *_effect_laws(_IDENTITY, range, (1, 2, 3)),
+        ),
+        LawReport(
+            "trace effect monad laws (exhaustive, bounded logs)",
+            *_effect_laws(_TRACE, _trace_values, (1, 2, 3)),
+        ),
+        LawReport(
+            "nondet effect monad laws (exhaustive <=2 + randomized)",
+            *_nondet_effect_laws(seed),
+        ),
     ]
 
 

@@ -23,7 +23,7 @@ from selcc import (
     parse_game,
     sat_callcc,
 )
-from selcc.cli import MAX_SEQUENTIAL_STAGES
+from selcc.cli import MAX_DEMO_SAT_VARS, MAX_SEQUENTIAL_STAGES
 
 _SEQ_DOC = {
     "type": "sequential",
@@ -286,6 +286,15 @@ class TestDemoCommands:
         assert main(["demo-sat", "--vars", "0", "--formula", "0"]) == 2
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_vars", [MAX_DEMO_SAT_VARS + 1, 130])
+    def test_sat_demo_rejects_vars_above_the_limit(self, capsys, n_vars):
+        # The trace log doubles per variable, and 130 variables nest deeper
+        # than the recursion limit.
+        assert main(["demo-sat", "--vars", str(n_vars), "--formula", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --vars is {n_vars}; the limit is 20\n"
+
 
 class TestSolveCommand:
     def test_sequential_file(self, tmp_path, capsys):
@@ -370,6 +379,17 @@ class TestLawsCommand:
         )
         assert main(["laws", "--seed", "3", "--samples", "10"]) == 0
         assert "1/1 suites passed" in capsys.readouterr().out
+
+    def test_negative_samples_are_rejected(self, capsys, monkeypatch):
+        def run_all(seed, samples):
+            raise AssertionError("no suite may run")
+
+        monkeypatch.setattr("selcc.cli.run_all", run_all)
+        assert main(["laws", "--samples", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "--samples" in captured.err
 
     def test_full_run_on_the_real_suites_succeeds(self, capsys):
         assert main(["laws", "--samples", "5"]) == 0

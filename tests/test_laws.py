@@ -2,9 +2,10 @@
 
 The exhaustive monad-law sweeps (every chooser and continuation over
 two-point carriers) are checked with the real binds, against their case
-counts and time budget, in the acceptance module.  Here their driver is fed
-deliberately broken binds to show that it reports failures; this module also
-covers every other suite and the reporting contract.
+counts and time budget, in the acceptance module.  Here their driver, and the
+driver of the base-effect laws, are fed deliberately broken binds to show
+that they report failures; this module also covers every other suite and the
+reporting contract.
 """
 from __future__ import annotations
 
@@ -24,7 +25,22 @@ from selcc import (
     sel_unit,
     sum_equilibria_report,
 )
-from selcc.laws import _exhaustive_reports, _table_quantifiers, _table_selections
+from selcc.effects import (
+    EffectInstance,
+    NondetValue,
+    TraceValue,
+    _dedup,
+    nondet_effect,
+    trace_effect,
+)
+from selcc.laws import (
+    _effect_laws,
+    _exhaustive_reports,
+    _nondet_effect_laws,
+    _table_quantifiers,
+    _table_selections,
+    _trace_values,
+)
 
 
 class TestLawReport:
@@ -38,16 +54,60 @@ class TestLawReport:
 
 class TestEffectLaws:
     def test_all_instances_satisfy_the_monad_laws(self):
-        reports = effect_law_reports(seed=0)
-        assert reports
-        for report in reports:
-            assert report.cases > 0, report.name
-            assert report.passed, report.name
+        # Exact counts, so a faster driver cannot shrink the case space
+        # unnoticed: identity over carriers <= 3, trace over carriers <= 3
+        # with logs of at most one line, nondet exhaustive over carriers <= 2
+        # (4,241 cases) plus 2,000 randomized carrier-3 samples of 3 laws.
+        for seed in (0, 3):
+            reports = effect_law_reports(seed=seed)
+            assert [(r.cases, r.failures) for r in reports] == [
+                (4664, 0), (447600, 0), (10241, 0),
+            ], seed
 
     def test_every_instance_is_covered(self):
         names = " ".join(r.name for r in effect_law_reports(seed=0)).lower()
         for instance in ("identity", "trace", "nondet"):
             assert instance in names
+
+
+def _drops_the_log_of_m(m, f):
+    """A broken trace bind: only ``f``'s log survives."""
+    return f(m.value)
+
+
+def _repeats_the_log_of_m(m, f):
+    """A broken trace bind: ``m``'s log is written before and after ``f``'s."""
+    out = f(m.value)
+    return TraceValue(m.log + out.log + m.log, out.value)
+
+
+def _walks_alternatives_in_reverse(m, f):
+    """A broken nondet bind: ``m``'s alternatives are visited last to first."""
+    collected = []
+    for alt in reversed(m.alternatives):
+        collected.extend(f(alt).alternatives)
+    return NondetValue(_dedup(tuple(collected)))
+
+
+class TestEffectLawsCatchBrokenBinds:
+    # The counts agree with a direct sweep that runs all four binds of every
+    # associativity case through the broken bind.  Two other plausible
+    # mistakes are lawful monads, so no law suite can catch them: logs
+    # concatenated right-then-left (the writer monad over the opposite
+    # monoid) and a nondet bind without dedup (the list monad).
+    def test_trace_bind_dropping_the_log_of_m(self):
+        broken = EffectInstance("Trace", trace_effect().unit, _drops_the_log_of_m)
+        # Right unit fails once per one-line m and carrier triple.
+        assert _effect_laws(broken, _trace_values, (1, 2, 3)) == (447600, 54)
+
+    def test_trace_bind_repeating_the_log_of_m(self):
+        broken = EffectInstance("Trace", trace_effect().unit, _repeats_the_log_of_m)
+        # Right unit gives 54 of these; the rest are associativity cases.
+        assert _effect_laws(broken, _trace_values, (1, 2, 3)) == (447600, 222318)
+
+    def test_nondet_bind_walking_alternatives_in_reverse(self):
+        broken = EffectInstance("Nondet", nondet_effect().unit, _walks_alternatives_in_reverse)
+        assert _nondet_effect_laws(0, eff=broken) == (10241, 2130)
 
 
 def _scores_every_candidate_against_f0(eps, f):
