@@ -8,15 +8,7 @@ coroutine-like back-and-forth.
 """
 from __future__ import annotations
 
-from selcc import (
-    bar_computation,
-    demo_bar,
-    demo_foo,
-    foo_computation,
-    run_quantifier,
-    run_selection,
-    trace_effect,
-)
+from selcc import demo_bar, demo_foo
 
 
 def show(title: str, log: list[str], result: int) -> None:
@@ -27,6 +19,10 @@ def show(title: str, log: list[str], result: int) -> None:
     print()
 
 
+def double(n: int) -> int:
+    return n * 2
+
+
 def main() -> None:
     log, result = demo_foo()
     show("quantifier flavour: the jump never comes back", log, result)
@@ -34,13 +30,12 @@ def main() -> None:
     log, result = demo_bar()
     show("selection flavour: the handler resumes after the jump", log, result)
 
-    # The same selection program run against a doubling outer continuation.
-    eff = trace_effect()
-    outcome = run_selection(bar_computation(), lambda n: eff.unit(n * 2))
-    show("selection flavour, doubling continuation", list(outcome.log), outcome.value)
+    # The same programs run against a doubling outer continuation.
+    log, result = demo_bar(double)
+    show("selection flavour, doubling continuation", log, result)
 
-    outcome = run_quantifier(foo_computation(), lambda n: eff.unit(n * 2))
-    show("quantifier flavour, doubling continuation", list(outcome.log), outcome.value)
+    log, result = demo_foo(double)
+    show("quantifier flavour, doubling continuation", log, result)
 
 
 if __name__ == "__main__":

@@ -6,46 +6,38 @@ own continuation and short-circuits to the outer one.  What differs is only
 the bind operator the result is later composed with — under the quantifier
 monad control never returns to the handler once the continuation is invoked,
 while under the selection monad the handler resumes and a coroutine-like
-dialogue emerges.  The two demo programs below make that difference visible
-through the trace effect.
+dialogue emerges.  The dialogue program is likewise written once over the
+:class:`~selcc.core.Monad` record; its two instances and their demos make the
+difference visible through the trace effect.
 """
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from .core import (
-    QuantifierComputation,
-    SelectionComputation,
-    quant_bind,
-    quant_lift,
-    quant_unit,
-    run_quantifier,
-    run_selection,
-    sel_bind,
-    sel_lift,
-    sel_unit,
-)
+from .core import QUANTIFIER, SELECTION, Monad, QuantifierComputation, SelectionComputation
 from .effects import EffectInstance, identity_effect, tell, trace_effect
 
 
-def _callcc_term(body: Callable[[Callable[[Any], Any]], Callable[[Any], Any]]) -> Callable[[Any], Any]:
-    """The untyped call/cc: ``λk1. body(λx. λk2. k1(x))(k1)``.
+def _callcc_term(
+    monad: Monad, handler: Callable[[Callable[[Any], Any]], Any], eff: EffectInstance | None
+) -> Any:
+    """The untyped call/cc: ``λk1. handler(λx. λk2. k1(x))(k1)``.
 
-    ``body`` maps the reified continuation (as a raw two-level function) to a
-    raw computation function.  Both public wrappers delegate here, so the term
-    is shared by construction; only the surrounding computation types differ.
+    ``monad`` only wraps the raw functions in its computation class and runs
+    the handler's result; the term itself is shared by both public wrappers.
     """
+    effect = eff if eff is not None else identity_effect()
 
     def run(k1: Callable[[Any], Any]) -> Any:
-        def reified(x: Any) -> Callable[[Any], Any]:
+        def reified(x: Any) -> Any:
             def computation(k2: Callable[[Any], Any]) -> Any:
                 return k1(x)
 
-            return computation
+            return monad.computation(computation, effect)
 
-        return body(reified)(k1)
+        return monad.run(handler(reified), k1)
 
-    return run
+    return monad.computation(run, effect)
 
 
 def callcc_quantifier(
@@ -59,15 +51,7 @@ def callcc_quantifier(
     ``eff`` must match the effect the handler's computations run over
     (identity by default).
     """
-    effect = eff if eff is not None else identity_effect()
-
-    def body(reified: Callable[[Any], Callable[[Any], Any]]) -> Callable[[Any], Any]:
-        def lift(x: Any) -> QuantifierComputation:
-            return QuantifierComputation(reified(x), effect)
-
-        return handler(lift).runner
-
-    return QuantifierComputation(_callcc_term(body), effect)
+    return _callcc_term(QUANTIFIER, handler, eff)
 
 
 def callcc_selection(
@@ -81,48 +65,48 @@ def callcc_selection(
     value.  Unlike the quantifier flavour, handler code after an invocation
     runs again once the chosen value flows back through the enclosing binds.
     """
-    effect = eff if eff is not None else identity_effect()
-
-    def body(reified: Callable[[Any], Callable[[Any], Any]]) -> Callable[[Any], Any]:
-        def lift(x: Any) -> SelectionComputation:
-            return SelectionComputation(reified(x), effect)
-
-        return handler(lift).chooser
-
-    return SelectionComputation(_callcc_term(body), effect)
+    return _callcc_term(SELECTION, handler, eff)
 
 
-def foo_computation() -> QuantifierComputation:
-    """The quantifier-monad dialogue program over the trace effect.
+def _dialogue(monad: Monad, name: str) -> Any:
+    """The dialogue program over the trace effect, in either monad.
 
-    Logs "In foo", enters a handler that logs and invokes the current
+    Logs "In <name>", enters a handler that logs and invokes the current
     continuation with 0, then logs "In continuation" and returns the value
-    plus one.  The handler line after the invocation is unreachable.
+    plus one.  The handler then logs "Still in handler" and returns its
+    value plus one; whether that line ever runs depends only on ``bind``.
     """
     eff = trace_effect()
+    unit, bind = monad.unit, monad.bind
 
-    def handler(kk: Callable[[int], QuantifierComputation]) -> QuantifierComputation:
-        return quant_bind(
-            quant_lift(tell("In handler"), eff),
-            lambda _: quant_bind(
+    def log(line: str) -> Any:
+        return monad.lift(tell(line), eff)
+
+    def handler(kk: Callable[[int], Any]) -> Any:
+        return bind(
+            log("In handler"),
+            lambda _: bind(
                 kk(0),
-                lambda m: quant_bind(
-                    quant_lift(tell("Still in handler"), eff),
-                    lambda _: quant_unit(m + 1, eff),
-                ),
+                lambda m: bind(log("Still in handler"), lambda _: unit(m + 1, eff)),
             ),
         )
 
-    return quant_bind(
-        quant_lift(tell("In foo"), eff),
-        lambda _: quant_bind(
-            callcc_quantifier(handler, eff),
-            lambda n: quant_bind(
-                quant_lift(tell("In continuation"), eff),
-                lambda _: quant_unit(n + 1, eff),
-            ),
+    return bind(
+        log(f"In {name}"),
+        lambda _: bind(
+            _callcc_term(monad, handler, eff),
+            lambda n: bind(log("In continuation"), lambda _: unit(n + 1, eff)),
         ),
     )
+
+
+def foo_computation() -> QuantifierComputation:
+    """The dialogue in the quantifier monad.
+
+    Invoking the current continuation abandons the handler, so "Still in
+    handler" is never logged.
+    """
+    return _dialogue(QUANTIFIER, "foo")
 
 
 def bar_computation() -> SelectionComputation:
@@ -132,47 +116,29 @@ def bar_computation() -> SelectionComputation:
     after the continuation runs, control comes back and "Still in handler"
     is logged, then the continuation runs once more with the updated value.
     """
+    return _dialogue(SELECTION, "bar")
+
+
+def _demo(monad: Monad, program: Any, outer: Callable[[int], int] | None) -> tuple[list[str], int]:
     eff = trace_effect()
-
-    def handler(kk: Callable[[int], SelectionComputation]) -> SelectionComputation:
-        return sel_bind(
-            sel_lift(tell("In handler"), eff),
-            lambda _: sel_bind(
-                kk(0),
-                lambda m: sel_bind(
-                    sel_lift(tell("Still in handler"), eff),
-                    lambda _: sel_unit(m + 1, eff),
-                ),
-            ),
-        )
-
-    return sel_bind(
-        sel_lift(tell("In bar"), eff),
-        lambda _: sel_bind(
-            callcc_selection(handler, eff),
-            lambda n: sel_bind(
-                sel_lift(tell("In continuation"), eff),
-                lambda _: sel_unit(n + 1, eff),
-            ),
-        ),
-    )
+    k = eff.unit if outer is None else lambda n: eff.unit(outer(n))
+    outcome = monad.run(program, k)
+    return list(outcome.log), outcome.value
 
 
-def demo_foo() -> tuple[list[str], int]:
-    """Run the quantifier dialogue with the unit outer continuation.
+def demo_foo(outer: Callable[[int], int] | None = None) -> tuple[list[str], int]:
+    """Run the quantifier dialogue against the outer continuation ``outer``
+    (the unit, returning the result unchanged, by default).
 
     Returns the accumulated log lines and the final integer result.
     """
-    eff = trace_effect()
-    outcome = run_quantifier(foo_computation(), eff.unit)
-    return list(outcome.log), outcome.value
+    return _demo(QUANTIFIER, foo_computation(), outer)
 
 
-def demo_bar() -> tuple[list[str], int]:
-    """Run the selection dialogue with the unit outer continuation.
+def demo_bar(outer: Callable[[int], int] | None = None) -> tuple[list[str], int]:
+    """Run the selection dialogue against the outer continuation ``outer``
+    (the unit, returning the result unchanged, by default).
 
     Returns the accumulated log lines and the chosen integer result.
     """
-    eff = trace_effect()
-    outcome = run_selection(bar_computation(), eff.unit)
-    return list(outcome.log), outcome.value
+    return _demo(SELECTION, bar_computation(), outer)

@@ -6,7 +6,7 @@ Subcommands:
   log one line per entry, then the numeric result on its own line;
 * ``demo-sat --vars N --formula S`` — run the instrumented SAT search and
   print its trace, then the final assignment (at most
-  :data:`MAX_DEMO_SAT_VARS` variables);
+  :data:`MAX_DEMO_SAT_VARS` variables and :data:`MAX_FORMULA_DEPTH` levels);
 * ``solve FILE`` — solve a JSON game file (sequential games by backward
   induction, simultaneous games by the sum of argmax players);
 * ``laws [--seed N] [--samples K]`` — run every law suite and report
@@ -22,13 +22,14 @@ import json
 import sys
 from typing import Any, Callable, Sequence
 
-from .callcc import bar_computation, demo_bar, demo_foo, foo_computation
-from .core import run_quantifier, run_selection
-from .effects import nondet_effect, trace_effect
+from .callcc import demo_bar, demo_foo
+from .core import run_selection
+from .effects import nondet_effect
 from .games import (
     SequentialGameSpec,
     SimultaneousGameSpec,
     Stage,
+    _validate_sequential,
     backward_induction,
     nondet_argmax_selection,
     sum_selections,
@@ -57,6 +58,17 @@ MAX_SEQUENTIAL_STAGES = 100
 # in 10.4 s with a peak RSS of 117 MB on a 2-core Linux x86-64 machine with
 # Python 3.11).
 MAX_DEMO_SAT_VARS = 20
+
+# How deep ``parse_formula`` lets "(" and "!" nest, and "!", "&" and "|"
+# closures.  The parser recurses through four frames per parenthesis and one
+# per "!", and evaluation through one frame per closure, so without a bound
+# deep formulas end in a RecursionError (measured in-process at --vars 2:
+# 247 nested parentheses still parse, and about 972 "!"s or terms of a flat
+# "|" chain still evaluate).  The SAT search evaluates the formula about 9
+# frames deeper per variable; at --vars 20 a formula of 200 "!"s still runs
+# (5.1 s, peak RSS 117 MB, on a 2-core Linux x86-64 machine with Python
+# 3.11).  A 3-CNF of 51 clauses nests 53 closures.
+MAX_FORMULA_DEPTH = 200
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +110,9 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
     """Parse ``src`` into a total formula over ``arity`` variables.
 
     Variables are decimal indices; ``!`` binds tighter than ``&``, which binds
-    tighter than ``|``; parentheses group.  Out-of-range indices and syntax
-    errors raise :class:`FormulaParseError` naming the offending position.
+    tighter than ``|``; parentheses group.  Out-of-range indices, syntax
+    errors and nesting deeper than :data:`MAX_FORMULA_DEPTH` levels raise
+    :class:`FormulaParseError` naming the offending position.
     """
     tokens = _lex(src)
     pos = 0
@@ -115,47 +128,67 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
         pos += 1
         return token
 
-    def parse_or() -> _Node:
-        node = parse_and()
+    def too_deep(at: int) -> FormulaParseError:
+        return FormulaParseError(
+            f"formula nests deeper than {MAX_FORMULA_DEPTH} levels at position {at}"
+        )
+
+    # ``level`` counts the "(" and "!" being parsed, which the parser recurses
+    # through.  Each function returns a node and its depth, the nesting of its
+    # "!", "&" and "|" closures, which evaluation recurses through.
+    def parse_or(level: int) -> tuple[_Node, int]:
+        node, depth = parse_and(level)
         while (token := peek()) is not None and token[0] == "|":
             take()
-            right = parse_and()
+            right, right_depth = parse_and(level)
+            depth = (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_FORMULA_DEPTH:
+                raise too_deep(token[2])
             node = (lambda l, r: lambda bits: l(bits) or r(bits))(node, right)
-        return node
+        return node, depth
 
-    def parse_and() -> _Node:
-        node = parse_not()
+    def parse_and(level: int) -> tuple[_Node, int]:
+        node, depth = parse_not(level)
         while (token := peek()) is not None and token[0] == "&":
             take()
-            right = parse_not()
+            right, right_depth = parse_not(level)
+            depth = (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_FORMULA_DEPTH:
+                raise too_deep(token[2])
             node = (lambda l, r: lambda bits: l(bits) and r(bits))(node, right)
-        return node
+        return node, depth
 
-    def parse_not() -> _Node:
+    def parse_not(level: int) -> tuple[_Node, int]:
         token = peek()
         if token is not None and token[0] == "!":
             take()
-            inner = parse_not()
-            return lambda bits: not inner(bits)
-        return parse_atom()
+            if level >= MAX_FORMULA_DEPTH:
+                raise too_deep(token[2])
+            inner, depth = parse_not(level + 1)
+            if depth >= MAX_FORMULA_DEPTH:
+                raise too_deep(token[2])
+            return (lambda bits: not inner(bits)), depth + 1
+        return parse_atom(level)
 
-    def parse_atom() -> _Node:
+    def parse_atom(level: int) -> tuple[_Node, int]:
         kind, value, at = take()
         if kind == "index":
             if value >= arity:
                 raise FormulaParseError(
                     f"variable index {value} out of range for arity {arity} at position {at}"
                 )
-            return lambda bits, i=value: bits[i]
+            return (lambda bits, i=value: bits[i]), 0
         if kind == "(":
-            node = parse_or()
+            if level >= MAX_FORMULA_DEPTH:
+                raise too_deep(at)
+            node = parse_or(level + 1)
             closing = take()
             if closing[0] != ")":
                 raise FormulaParseError(f"expected ')' at position {closing[2]}")
             return node
         raise FormulaParseError(f"unexpected token {kind!r} at position {at}")
 
-    node = parse_or()
+    node, _ = parse_or(0)
     if (token := peek()) is not None:
         raise FormulaParseError(f"unexpected token {token[0]!r} at position {token[2]}")
     return BooleanFormula(arity, lambda bits: bool(node(bits)))
@@ -218,8 +251,6 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
     kind = doc.get("type")
     if kind == "sequential":
         players = _string_list(doc.get("players"), '"players"')
-        if not players:
-            raise GameFileError("sequential game needs at least one player")
         raw_stages = doc.get("stages")
         if not isinstance(raw_stages, list):
             raise GameFileError('"stages" must be an array')
@@ -235,15 +266,12 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
             controller = raw.get("controller")
             if not isinstance(controller, int) or isinstance(controller, bool):
                 raise GameFileError(f"stage {index} controller must be an integer")
-            if not 0 <= controller < len(players):
-                raise GameFileError(
-                    f"stage {index} controller {controller} out of range "
-                    f"for {len(players)} players"
-                )
             moves = _string_list(raw.get("moves"), f"stage {index} moves")
-            if not moves:
-                raise GameFileError(f"stage {index} has no moves")
             stages.append(Stage(controller, moves))
+        try:
+            _validate_sequential(players, stages)
+        except ValueError as exc:
+            raise GameFileError(str(exc)) from exc
         plays = [tuple(p) for p in itertools.product(*(s.moves for s in stages))]
         table = _parse_payoff_table(doc.get("payoffs"), plays, len(players))
         return SequentialGameSpec(players, tuple(stages), table.__getitem__)
@@ -274,19 +302,8 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
 
 
 def _cmd_demo_callcc(args: argparse.Namespace) -> int:
-    if args.outer == "unit":
-        log, result = demo_foo() if args.which == "foo" else demo_bar()
-    else:
-        eff = trace_effect()
-
-        def outer(n: int):
-            return eff.unit(n * 2)
-
-        if args.which == "foo":
-            outcome = run_quantifier(foo_computation(), outer)
-        else:
-            outcome = run_selection(bar_computation(), outer)
-        log, result = list(outcome.log), outcome.value
+    demo = demo_foo if args.which == "foo" else demo_bar
+    log, result = demo((lambda n: n * 2) if args.outer == "double" else None)
     for line in log:
         print(line)
     print(result)

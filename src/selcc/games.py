@@ -153,16 +153,18 @@ def punk_selection(domain: Sequence[X]) -> SelectionComputation[X, Any]:
     return SelectionComputation(chooser, nondet_effect())
 
 
-def _validate_sequential(game: SequentialGameSpec) -> None:
-    if not game.players:
+def _validate_sequential(players: Sequence[str], stages: Sequence[Stage]) -> None:
+    """Raise ``ValueError`` unless there is a player, every stage has a move
+    and every controller is a player's index."""
+    if not players:
         raise ValueError("sequential game needs at least one player")
-    for index, stage in enumerate(game.stages):
+    for index, stage in enumerate(stages):
         if not stage.moves:
             raise ValueError(f"stage {index} has no moves")
-        if not 0 <= stage.controller < len(game.players):
+        if not 0 <= stage.controller < len(players):
             raise ValueError(
                 f"stage {index} controller {stage.controller} out of range "
-                f"for {len(game.players)} players"
+                f"for {len(players)} players"
             )
 
 
@@ -173,7 +175,7 @@ def backward_induction(game: SequentialGameSpec) -> tuple[tuple[str, ...], Utili
     the continuation reports for each candidate move.  The chosen play is the
     product's answer when run with the payoff function as the continuation.
     """
-    _validate_sequential(game)
+    _validate_sequential(game.players, game.stages)
     selections = [
         argmax_selection(
             stage.moves,
@@ -190,7 +192,7 @@ def backward_induction_oracle(
 ) -> tuple[tuple[str, ...], UtilityVector]:
     """Independent reference solver: explicit depth-first recursion over the
     game tree with the same first-maximum tie-break."""
-    _validate_sequential(game)
+    _validate_sequential(game.players, game.stages)
     total_plays = math.prod(len(stage.moves) for stage in game.stages)
     if total_plays > 10**6:
         raise ValueError(f"game tree too large for the oracle: {total_plays} plays")

@@ -34,6 +34,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .core import (
+    QUANTIFIER,
+    SELECTION,
+    Monad,
     QuantifierComputation,
     SelectionComputation,
     quant_bind,
@@ -185,14 +188,8 @@ class _Tabulation:
         return len(lhs) * len(self.conts), failures
 
 
-def _exhaustive_reports(
-    monad: str,
-    unit: Callable[[int], Any],
-    bind: Callable[[Any, Callable[[int], Any]], Any],
-    run: Callable[[Any, Callable[[int], int]], Any],
-    tables: Callable[[int, int], list[Any]],
-) -> list[LawReport]:
-    """The three monad laws over every carrier size up to 2.
+def _exhaustive_reports(monad: Monad, tables: Callable[[int, int], list[Any]]) -> list[LawReport]:
+    """The three monad laws of ``monad`` over every carrier size up to 2.
 
     ``tables(n, r)`` enumerates every computation over ``range(n)`` with
     results in ``range(r)``.  A case is one (unit or computation, Kleisli
@@ -200,6 +197,7 @@ def _exhaustive_reports(
     composed computation runs through the real ``bind`` only once, on every
     continuation, and each case compares two entries of the interned tables.
     """
+    unit, bind, run = monad.unit, monad.bind, monad.run
     tabulations: dict[tuple[int, int], _Tabulation] = {}
 
     def tab(n: int, r: int) -> _Tabulation:
@@ -259,9 +257,9 @@ def _exhaustive_reports(
         return cases, failures
 
     return [
-        LawReport(f"{monad} left unit (exhaustive, identity)", *over_sizes(left_unit, 3)),
-        LawReport(f"{monad} right unit (exhaustive, identity)", *over_sizes(right_unit, 2)),
-        LawReport(f"{monad} associativity (exhaustive, identity)", *over_sizes(assoc, 4)),
+        LawReport(f"{monad.name} left unit (exhaustive, identity)", *over_sizes(left_unit, 3)),
+        LawReport(f"{monad.name} right unit (exhaustive, identity)", *over_sizes(right_unit, 2)),
+        LawReport(f"{monad.name} associativity (exhaustive, identity)", *over_sizes(assoc, 4)),
     ]
 
 
@@ -271,14 +269,12 @@ def selection_monad_reports() -> list[LawReport]:
     All carrier sizes up to 2 (values, both intermediate stages, and results),
     all choosers, Kleisli maps, and continuations as finite tables.
     """
-    return _exhaustive_reports("selection", sel_unit, sel_bind, run_selection, _table_selections)
+    return _exhaustive_reports(SELECTION, _table_selections)
 
 
 def quantifier_monad_reports() -> list[LawReport]:
     """Exhaustive identity-effect law sweeps for the quantifier monad."""
-    return _exhaustive_reports(
-        "quantifier", quant_unit, quant_bind, run_quantifier, _table_quantifiers
-    )
+    return _exhaustive_reports(QUANTIFIER, _table_quantifiers)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +318,21 @@ def _random_nondet_eff_value(rng: random.Random, r_values: Sequence[int]) -> Non
     return NondetValue(tuple(picks))
 
 
-def _random_trace_selection(
-    rng: random.Random, domain: Sequence[int], r_values: Sequence[int]
-) -> SelectionComputation:
+def _random_trace_computation(
+    monad: Monad, rng: random.Random, domain: Sequence[int], answers: Sequence[int]
+) -> Any:
+    """A random trace computation of ``monad``: it answers with the element of
+    ``answers`` picked by a random digest of the continuation over ``domain``,
+    and logs its own lines after the log of one probed result, if any."""
     coefficients = [rng.randrange(1, 9973) for _ in domain]
     offset = rng.randrange(9973)
-    own_log = tuple(f"s{rng.randrange(4)}" for _ in range(rng.randrange(2)))
+    # Lines "s0".."s3" for a selection, "q0".."q3" for a quantifier.
+    own_log = tuple(f"{monad.name[0]}{rng.randrange(4)}" for _ in range(rng.randrange(2)))
     include_probe = rng.randrange(len(domain) + 1)  # len(domain) means "none"
     points = tuple(domain)
+    answers = tuple(answers)
 
-    def chooser(k: Callable[[int], TraceValue]) -> TraceValue:
+    def fn(k: Callable[[int], TraceValue]) -> TraceValue:
         results = [k(x) for x in points]
         acc = offset
         for c, res in zip(coefficients, results):
@@ -339,32 +340,9 @@ def _random_trace_selection(
         log = own_log
         if include_probe < len(points):
             log = results[include_probe].log + log
-        return TraceValue(log, points[acc % len(points)])
+        return TraceValue(log, answers[acc % len(answers)])
 
-    return SelectionComputation(chooser, _TRACE)
-
-
-def _random_trace_quantifier(
-    rng: random.Random, domain: Sequence[int], r_values: Sequence[int]
-) -> QuantifierComputation:
-    coefficients = [rng.randrange(1, 9973) for _ in domain]
-    offset = rng.randrange(9973)
-    own_log = tuple(f"q{rng.randrange(4)}" for _ in range(rng.randrange(2)))
-    include_probe = rng.randrange(len(domain) + 1)
-    values = tuple(r_values)
-    points = tuple(domain)
-
-    def runner(k: Callable[[int], TraceValue]) -> TraceValue:
-        results = [k(x) for x in points]
-        acc = offset
-        for c, res in zip(coefficients, results):
-            acc = (acc + c * _digest(res)) % 9973
-        log = own_log
-        if include_probe < len(points):
-            log = results[include_probe].log + log
-        return TraceValue(log, values[acc % len(values)])
-
-    return QuantifierComputation(runner, _TRACE)
+    return monad.computation(fn, _TRACE)
 
 
 def _random_nondet_selection(
@@ -413,14 +391,31 @@ def _random_nondet_quantifier(
     return QuantifierComputation(runner, _NONDET)
 
 
+# Random computations by monad and effect, as (rng, domain, result values) ->
+# computation.  A selection answers with a point of its domain and a
+# quantifier with a result value; over nondet each has its own generator.
+_RANDOM_COMPUTATIONS: dict[tuple[str, str], Callable[..., Any]] = {
+    ("selection", "Trace"): lambda rng, xs, rs: _random_trace_computation(SELECTION, rng, xs, xs),
+    ("quantifier", "Trace"): lambda rng, xs, rs: _random_trace_computation(QUANTIFIER, rng, xs, rs),
+    ("selection", "Nondet"): _random_nondet_selection,
+    ("quantifier", "Nondet"): _random_nondet_quantifier,
+}
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
+
+
 def _randomized_monad_failures(
-    monad: str, effect_name: str, law: str, rng: random.Random, samples: int
+    monad: Monad, eff: EffectInstance, law: str, seed: int, samples: int
 ) -> tuple[int, int]:
-    trace = effect_name == "Trace"
-    eff = _TRACE if trace else _NONDET
-    rand_sel = _random_trace_selection if trace else _random_nondet_selection
-    rand_quant = _random_trace_quantifier if trace else _random_nondet_quantifier
-    rand_eff_value = _random_trace_eff_value if trace else _random_nondet_eff_value
+    """Cases and failures of one law of ``monad`` over ``eff`` (the trace or
+    the nondet effect) on ``samples`` random cases drawn from ``seed``."""
+    rng = random.Random(repr((seed, monad.name, eff.name, law)))
+    rand_comp = _RANDOM_COMPUTATIONS[monad.name, eff.name]
+    rand_eff_value = _random_trace_eff_value if eff is _TRACE else _random_nondet_eff_value
+    unit, bind, run = monad.unit, monad.bind, monad.run
     failures = 0
     for _ in range(samples):
         nx = rng.randrange(1, 4)
@@ -430,16 +425,6 @@ def _randomized_monad_failures(
         ys = tuple(range(ny))
         zs = tuple(range(nz))
         r_values = tuple(range(rng.randrange(1, 4)))
-        if monad == "selection":
-            rand_comp: Callable[..., Any] = rand_sel
-            unit: Callable[..., Any] = sel_unit
-            bind: Callable[..., Any] = sel_bind
-            run: Callable[..., Any] = run_selection
-        else:
-            rand_comp = rand_quant
-            unit = quant_unit
-            bind = quant_bind
-            run = run_quantifier
         if law == "left unit":
             target = [rand_comp(rng, ys, r_values) for _ in xs]
             f = target.__getitem__
@@ -473,24 +458,19 @@ def randomized_monad_reports(seed: int = 0, samples: int = 1000) -> list[LawRepo
     """Randomized law sweeps over the trace and nondeterminism effects.
 
     ``samples`` cases per (monad, effect, law) — 12 sweeps in total —
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  Raises ``ValueError`` if ``samples`` is
+    negative.
     """
-    reports = []
-    for monad in ("selection", "quantifier"):
-        for effect_name in ("Trace", "Nondet"):
-            for law in ("left unit", "right unit", "associativity"):
-                rng = random.Random(repr((seed, monad, effect_name, law)))
-                cases, failures = _randomized_monad_failures(
-                    monad, effect_name, law, rng, samples
-                )
-                reports.append(
-                    LawReport(
-                        f"{monad} {law} (randomized, {effect_name.lower()})",
-                        cases,
-                        failures,
-                    )
-                )
-    return reports
+    _check_samples(samples)
+    return [
+        LawReport(
+            f"{monad.name} {law} (randomized, {eff.name.lower()})",
+            *_randomized_monad_failures(monad, eff, law, seed, samples),
+        )
+        for monad in (SELECTION, QUANTIFIER)
+        for eff in (_TRACE, _NONDET)
+        for law in ("left unit", "right unit", "associativity")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +741,9 @@ def _random_sequential_game(rng: random.Random) -> SequentialGameSpec:
 
 def backward_induction_reports(seed: int = 0, samples: int = 1000) -> list[LawReport]:
     """The product-of-argmax solver against the explicit game-tree recursion:
-    exhaustive over two-stage, two-move, {0,1}-payoff games, then randomized."""
+    exhaustive over two-stage, two-move, {0,1}-payoff games, then randomized
+    (``samples`` games; ``ValueError`` if negative)."""
+    _check_samples(samples)
     cases = failures = 0
     moves = ("a", "b")
     plays = list(itertools.product(moves, moves))
@@ -817,7 +799,8 @@ def sum_equilibria_report() -> LawReport:
 
 def run_all(seed: int = 0, samples: int = 1000) -> list[LawReport]:
     """Every suite, in a stable order; the CLI's ``laws`` subcommand prints
-    these reports."""
+    these reports.  Raises ``ValueError`` if ``samples`` is negative."""
+    _check_samples(samples)
     reports: list[LawReport] = []
     reports.extend(effect_law_reports(seed))
     reports.extend(selection_monad_reports())

@@ -1,6 +1,9 @@
 """Tests for call-with-current-continuation in both computation flavours."""
 from __future__ import annotations
 
+import runpy
+from pathlib import Path
+
 from selcc import (
     callcc_quantifier,
     callcc_selection,
@@ -139,3 +142,37 @@ class TestDialogueDemos:
     def test_demo_output_is_stable_across_runs(self):
         assert demo_foo() == demo_foo()
         assert demo_bar() == demo_bar()
+
+    def test_dialogue_demo_script_output(self, capsys):
+        script = Path(__file__).resolve().parents[1] / "demos" / "dialogue_demo.py"
+        runpy.run_path(str(script), run_name="__main__")
+        assert capsys.readouterr().out.splitlines() == [
+            "== quantifier flavour: the jump never comes back ==",
+            "  In foo",
+            "  In handler",
+            "  In continuation",
+            "  result: 1",
+            "",
+            "== selection flavour: the handler resumes after the jump ==",
+            "  In bar",
+            "  In handler",
+            "  In continuation",
+            "  Still in handler",
+            "  In continuation",
+            "  result: 3",
+            "",
+            "== selection flavour, doubling continuation ==",
+            "  In bar",
+            "  In handler",
+            "  In continuation",
+            "  Still in handler",
+            "  In continuation",
+            "  result: 4",
+            "",
+            "== quantifier flavour, doubling continuation ==",
+            "  In foo",
+            "  In handler",
+            "  In continuation",
+            "  result: 2",
+            "",
+        ]

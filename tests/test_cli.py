@@ -23,7 +23,7 @@ from selcc import (
     parse_game,
     sat_callcc,
 )
-from selcc.cli import MAX_DEMO_SAT_VARS, MAX_SEQUENTIAL_STAGES
+from selcc.cli import MAX_DEMO_SAT_VARS, MAX_FORMULA_DEPTH, MAX_SEQUENTIAL_STAGES
 
 _SEQ_DOC = {
     "type": "sequential",
@@ -230,6 +230,18 @@ class TestParseGame:
         with pytest.raises(GameFileError, match='"type"'):
             parse_game({"type": "repeated"})
 
+    def test_sequential_needs_a_player(self):
+        doc = json.loads(json.dumps(_SEQ_DOC))
+        doc["players"] = []
+        with pytest.raises(GameFileError, match="^sequential game needs at least one player$"):
+            parse_game(doc)
+
+    def test_stage_without_moves(self):
+        doc = json.loads(json.dumps(_SEQ_DOC))
+        doc["stages"][0]["moves"] = []
+        with pytest.raises(GameFileError, match="^stage 0 has no moves$"):
+            parse_game(doc)
+
     def test_simultaneous_needs_two_players(self):
         doc = json.loads(json.dumps(_SIM_DOC))
         doc["players"] = ["Solo"]
@@ -267,6 +279,16 @@ class TestDemoCommands:
         assert out[0] == "In bar"
         int(out[-1])  # numeric result on its own line
 
+    def test_first_dialogue_with_doubling_outer_continuation(self, capsys):
+        assert main(["demo-callcc", "--which", "foo", "--outer", "double"]) == 0
+        assert capsys.readouterr().out == "In foo\nIn handler\nIn continuation\n2\n"
+
+    def test_second_dialogue_with_doubling_outer_continuation(self, capsys):
+        assert main(["demo-callcc", "--which", "bar", "--outer", "double"]) == 0
+        assert capsys.readouterr().out == (
+            "In bar\nIn handler\nIn continuation\nStill in handler\nIn continuation\n4\n"
+        )
+
     def test_sat_demo_prints_trace_then_assignment(self, capsys):
         assert main(["demo-sat", "--vars", "3", "--formula", "0&!1&2"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -294,6 +316,32 @@ class TestDemoCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --vars is {n_vars}; the limit is 20\n"
+
+    @pytest.mark.parametrize(
+        "formula, position",
+        [
+            ("(" * 2000 + "0" + ")" * 2000, 200),
+            ("!" * 5000 + "0", 200),
+            ("|".join(["0"] * 5000), 401),
+            ("&".join(["0"] * 5000), 401),
+        ],
+        ids=["parentheses", "negations", "or-chain", "and-chain"],
+    )
+    def test_sat_demo_rejects_formulas_nested_too_deeply(self, capsys, formula, position):
+        # Each of these used to end in an uncaught RecursionError.
+        assert main(["demo-sat", "--vars", "1", "--formula", formula]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: formula nests deeper than 200 levels at position {position}\n"
+        )
+
+    def test_sat_demo_accepts_a_formula_at_the_depth_limit(self, capsys):
+        # Parentheses take the most parser frames per level.
+        depth = MAX_FORMULA_DEPTH
+        formula = "(" * depth + "0" + ")" * depth
+        assert main(["demo-sat", "--vars", "1", "--formula", formula]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "[True]"
 
 
 class TestSolveCommand:

@@ -2,12 +2,14 @@
 
 The exhaustive monad-law sweeps (every chooser and continuation over
 two-point carriers) are checked with the real binds, against their case
-counts and time budget, in the acceptance module.  Here their driver, and the
-driver of the base-effect laws, are fed deliberately broken binds to show
-that they report failures; this module also covers every other suite and the
-reporting contract.
+counts and time budget, in the acceptance module.  Here their driver, the
+randomized monad-law driver and the driver of the base-effect laws are fed
+deliberately broken binds to show that they report failures; this module
+also covers every other suite and the reporting contract.
 """
 from __future__ import annotations
+
+import pytest
 
 from selcc import (
     LawReport,
@@ -17,14 +19,12 @@ from selcc import (
     backward_induction_reports,
     effect_law_reports,
     morphism_reports,
-    quant_unit,
     randomized_monad_reports,
-    run_quantifier,
-    run_selection,
+    run_all,
     sat_correctness_report,
-    sel_unit,
     sum_equilibria_report,
 )
+from selcc.core import QUANTIFIER, SELECTION
 from selcc.effects import (
     EffectInstance,
     NondetValue,
@@ -37,6 +37,7 @@ from selcc.laws import (
     _effect_laws,
     _exhaustive_reports,
     _nondet_effect_laws,
+    _randomized_monad_failures,
     _table_quantifiers,
     _table_selections,
     _trace_values,
@@ -145,8 +146,7 @@ class TestExhaustiveMonadLawsCatchBrokenBinds:
     # both sides of every case through the broken bind.
     def test_selection_bind_scoring_against_f0(self):
         reports = _exhaustive_reports(
-            "selection", sel_unit, _scores_every_candidate_against_f0,
-            run_selection, _table_selections,
+            SELECTION._replace(bind=_scores_every_candidate_against_f0), _table_selections
         )
         assert [(r.cases, r.failures) for r in reports] == [
             (2131, 0), (69, 16), (4220093, 131072),
@@ -154,12 +154,48 @@ class TestExhaustiveMonadLawsCatchBrokenBinds:
 
     def test_quantifier_bind_sending_k_a_wrong_value(self):
         reports = _exhaustive_reports(
-            "quantifier", quant_unit, _sends_k_a_wrong_value,
-            run_quantifier, _table_quantifiers,
+            QUANTIFIER._replace(bind=_sends_k_a_wrong_value), _table_quantifiers
         )
         assert [(r.cases, r.failures) for r in reports] == [
             (2190, 256), (74, 16), (4412552, 672768),
         ]
+
+
+def _drops_the_second_pass(eps, f):
+    """A broken ``sel_bind`` over the trace effect: the chosen ``x`` still
+    runs through ``f`` a second time, but that run's log is dropped."""
+    bind_m = eps.effect.bind
+
+    def chooser(k):
+        def extended(x):
+            return bind_m(f(x).chooser(k), k)
+
+        def chosen(x):
+            return TraceValue((), f(x).chooser(k).value)
+
+        return bind_m(eps.chooser(extended), chosen)
+
+    return SelectionComputation(chooser, eps.effect)
+
+
+class TestRandomizedMonadLawsCatchBrokenBinds:
+    # (cases, failures) per law: left unit, right unit, associativity.  The
+    # counts agree with the same seeded sweep run with ``laws.sel_bind``
+    # replaced by the broken bind.  Right unit cannot see this fault: the
+    # second pass of bind(eps, unit) has an empty log.
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (0, [(1000, 703), (1000, 0), (1000, 469)]),
+            (3, [(1000, 724), (1000, 0), (1000, 489)]),
+        ],
+    )
+    def test_selection_bind_dropping_the_second_pass(self, seed, expected):
+        broken = SELECTION._replace(bind=_drops_the_second_pass)
+        assert [
+            _randomized_monad_failures(broken, trace_effect(), law, seed, 1000)
+            for law in ("left unit", "right unit", "associativity")
+        ] == expected
 
 
 class TestMorphismLaws:
@@ -191,6 +227,11 @@ class TestRandomizedMonadLaws:
     def test_different_seeds_are_still_law_abiding(self):
         for report in randomized_monad_reports(seed=99, samples=60):
             assert report.passed, report.name
+
+    def test_negative_samples_are_rejected(self):
+        for suite in (randomized_monad_reports, backward_induction_reports, run_all):
+            with pytest.raises(ValueError, match="^samples must be at least 0$"):
+                suite(0, -3)
 
 
 class TestAgentPartition:
