@@ -30,6 +30,7 @@ from .core import (
     run_selection,
     sel_bind,
     sel_lift,
+    sel_map,
     sel_product,
     sel_sequence,
     sel_unit,
@@ -139,6 +140,7 @@ __all__ = [
     "sat_product",
     "sel_bind",
     "sel_lift",
+    "sel_map",
     "sel_product",
     "sel_sequence",
     "sel_unit",

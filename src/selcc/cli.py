@@ -29,6 +29,7 @@ from .games import (
     SequentialGameSpec,
     SimultaneousGameSpec,
     Stage,
+    _repeated_move,
     _validate_sequential,
     backward_induction,
     nondet_argmax_selection,
@@ -47,9 +48,10 @@ class GameFileError(ValueError):
 
 
 # The deepest sequential game ``solve`` accepts.  Backward induction nests
-# about seven Python frames per stage, so 100 stages stay well inside the
-# default recursion limit of 1000 (measured: 115 stages still solve under
-# pytest, 120 do not).
+# about six Python frames per stage at the payoff call and seven on its
+# deepest path, so 100 stages stay inside the default recursion limit of 1000
+# (measured on single-move games: 142 stages still solve in-process, 143 do
+# not; under pytest, 136 and 137).
 MAX_SEQUENTIAL_STAGES = 100
 
 # The most variables ``demo-sat`` accepts, the same arity limit as
@@ -64,10 +66,11 @@ MAX_DEMO_SAT_VARS = 20
 # per "!", and evaluation through one frame per closure, so without a bound
 # deep formulas end in a RecursionError (measured in-process at --vars 2:
 # 247 nested parentheses still parse, and about 972 "!"s or terms of a flat
-# "|" chain still evaluate).  The SAT search evaluates the formula about 9
+# "|" chain still evaluate).  The SAT search evaluates the formula about 8
 # frames deeper per variable; at --vars 20 a formula of 200 "!"s still runs
-# (5.1 s, peak RSS 117 MB, on a 2-core Linux x86-64 machine with Python
-# 3.11).  A 3-CNF of 51 clauses nests 53 closures.
+# (10.6 s with its output sent to /dev/null, peak RSS 117 MB, on a 2-core
+# Linux x86-64 machine with Python 3.11).  A 3-CNF of 51 clauses nests 53
+# closures.
 MAX_FORMULA_DEPTH = 200
 
 
@@ -244,7 +247,9 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
     table must be total, every utility vector must have one entry per player,
     and there may be at most :data:`MAX_SEQUENTIAL_STAGES` stages.
     Simultaneous games carry two players, two move lists and a
-    payoff object keyed by "rowmove,colmove".
+    payoff object keyed by "rowmove,colmove".  No move list may name a move
+    twice: each move is one alternative, and the solvers' nondeterministic
+    answers hold every alternative once.
     """
     if not isinstance(doc, dict):
         raise GameFileError("game document must be a JSON object")
@@ -286,6 +291,10 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
         col_moves = _string_list(raw_moves[1], "second move list")
         if not row_moves or not col_moves:
             raise GameFileError("move lists must be nonempty")
+        for what, moves in (("first", row_moves), ("second", col_moves)):
+            repeated = _repeated_move(moves)
+            if repeated is not None:
+                raise GameFileError(f"{what} move list repeats move {repeated!r}")
         pairs = [(x, y) for x in row_moves for y in col_moves]
         table = _parse_payoff_table(doc.get("payoffs"), [tuple(p) for p in pairs], 2)
         return SimultaneousGameSpec(
@@ -339,8 +348,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     except json.JSONDecodeError as exc:
         print(f"error: {args.file} is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: {args.file} nests JSON arrays or objects too deeply", file=sys.stderr)
         return 2
     try:
         game = parse_game(doc)

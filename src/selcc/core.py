@@ -19,6 +19,13 @@ n-stage game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
 ``rerun=True`` keeps the paper's second run; :func:`selcc.search.sat_product`
 uses it so that its cost does not depend on the formula.
 
+A bind into a unit has no branch to run twice.  :func:`sel_map` is that
+case on its own: the functor action, with no memo and no second run.  The
+products :func:`sel_product` and :func:`sel_sequence` are built from it as in
+Escardó & Oliva's binary product of selection functions (*Selection
+functions, bar recursion and backward induction*, MSCS 2010): the inner
+selection is only mapped into the pair, and only the outer one is bound.
+
 :class:`Monad` bundles each monad's functions into one value, so code written
 once over it (the call/cc dialogue, the law drivers) serves both monads.
 
@@ -206,17 +213,49 @@ def invoke_coercion(phi: QuantifierComputation[R, R]) -> SelectionComputation[R,
     return SelectionComputation(phi.runner, phi.effect)
 
 
+def sel_map(
+    eps: SelectionComputation[X, R],
+    g: Callable[[X], Y],
+) -> SelectionComputation[Y, R]:
+    """Apply a plain function to a selection's choice.
+
+    The continuation ``k`` at ``Y`` scores a candidate ``x`` as ``k(g(x))``,
+    and the chosen ``x`` comes out as ``g(x)``.  By the effect's left-unit
+    law this equals ``sel_bind(eps, lambda x: sel_unit(g(x), eps.effect))``,
+    but it keeps no memo and takes no ``rerun``: a unit branch has nothing
+    to run again.  For the nondet effect the left-unit law, and so this
+    equality, holds on duplicate-free ``NondetValue`` results of ``k``, which
+    is the type's invariant; a continuation that breaks it is scored with
+    its duplicates here and without them by the bind.
+    """
+    eff = eps.effect
+    bind_m = eff.bind
+    unit = eff.unit
+    eps_chooser = eps.chooser
+
+    def mapped(x: Any) -> Any:
+        return unit(g(x))
+
+    def chooser(k: Continuation) -> Any:
+        return bind_m(eps_chooser(lambda x: k(g(x))), mapped)
+
+    return SelectionComputation(chooser, eff)
+
+
 def sel_product(
     eps: SelectionComputation[X, R],
     delta: SelectionComputation[Y, R],
 ) -> SelectionComputation[tuple[X, Y], R]:
-    """The pairing of two selections, derived from bind.
+    """The pairing of two selections: Escardó & Oliva's binary product.
 
-    Equivalent to running ``eps`` first and ``delta`` inside it, collecting
-    both choices into a pair.  Deriving it from :func:`sel_bind` keeps it
-    coherent with the monad structure by construction.
+    For each candidate ``x`` the inner selection chooses ``y`` under the
+    continuation ``lambda y: k((x, y))``, and ``eps`` chooses ``x`` knowing
+    that ``y`` follows (``b(x) = δ(λy. p(x,y))``, ``a = ε(λx. p(x, b(x)))``).
+    This is the monadic definition, ``eps`` bound into ``delta`` bound into
+    a unit at the pair, with the inner bind into a unit written as the
+    :func:`sel_map` it equals.
     """
-    return sel_bind(eps, lambda x: sel_bind(delta, lambda y: sel_unit((x, y), eps.effect)))
+    return sel_bind(eps, lambda x: sel_map(delta, lambda y: (x, y)))
 
 
 def sel_sequence(
@@ -228,27 +267,24 @@ def sel_sequence(
     """The iterated product: a selection over tuples, one slot per input.
 
     Folded to the right, so later computations are inner (they see earlier
-    choices through the continuation).  The empty sequence yields the unit at
+    choices through the continuation): each step is the binary product of
+    :func:`sel_product`, with the rest of the sequence mapped onto the
+    chosen head by :func:`sel_map`.  The empty sequence yields the unit at
     the empty tuple; ``eff`` is only consulted in that case (otherwise the
-    computations' shared effect is used).  ``rerun`` is passed to every
-    :func:`sel_bind`.
+    computations' shared effect is used).  ``rerun`` is passed to the
+    :func:`sel_bind` of each step.
     """
     comps = list(computations)
     if not comps:
         return sel_unit((), eff if eff is not None else identity_effect())
-    effect = comps[0].effect
 
     def attach(
         comp: SelectionComputation[X, R],
         rest: SelectionComputation[tuple[X, ...], R],
     ) -> SelectionComputation[tuple[X, ...], R]:
-        return sel_bind(
-            comp,
-            lambda x: sel_bind(rest, lambda xs: sel_unit((x,) + xs, effect), rerun=rerun),
-            rerun=rerun,
-        )
+        return sel_bind(comp, lambda x: sel_map(rest, lambda xs: (x,) + xs), rerun=rerun)
 
-    result: SelectionComputation[tuple[X, ...], R] = sel_unit((), effect)
+    result: SelectionComputation[tuple[X, ...], R] = sel_unit((), comps[0].effect)
     for comp in reversed(comps):
         result = attach(comp, result)
     return result

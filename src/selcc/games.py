@@ -153,14 +153,27 @@ def punk_selection(domain: Sequence[X]) -> SelectionComputation[X, Any]:
     return SelectionComputation(chooser, nondet_effect())
 
 
+def _repeated_move(moves: Sequence[str]) -> str | None:
+    """The first move that occurs twice in ``moves``, or None."""
+    seen: set[str] = set()
+    for move in moves:
+        if move in seen:
+            return move
+        seen.add(move)
+    return None
+
+
 def _validate_sequential(players: Sequence[str], stages: Sequence[Stage]) -> None:
-    """Raise ``ValueError`` unless there is a player, every stage has a move
-    and every controller is a player's index."""
+    """Raise ``ValueError`` unless there is a player, every stage has a move,
+    no stage lists a move twice and every controller is a player's index."""
     if not players:
         raise ValueError("sequential game needs at least one player")
     for index, stage in enumerate(stages):
         if not stage.moves:
             raise ValueError(f"stage {index} has no moves")
+        repeated = _repeated_move(stage.moves)
+        if repeated is not None:
+            raise ValueError(f"stage {index} repeats move {repeated!r}")
         if not 0 <= stage.controller < len(players):
             raise ValueError(
                 f"stage {index} controller {stage.controller} out of range "

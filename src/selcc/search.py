@@ -28,8 +28,8 @@ from .core import (
     run_selection,
     sel_bind,
     sel_lift,
+    sel_map,
     sel_sequence,
-    sel_unit,
 )
 from .effects import EffectInstance, identity_effect, tell, trace_effect
 
@@ -98,7 +98,7 @@ def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:
                 bool_probe(eff),
                 lambda b: sel_bind(
                     sel_lift(tell(f"b = {b}, "), eff),
-                    lambda _: sel_bind(kk(dummy), lambda _: sel_unit(b, eff)),
+                    lambda _: sel_map(kk(dummy), lambda _: b),
                 ),
             )
 
@@ -106,9 +106,9 @@ def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:
 
     program = sel_bind(
         callcc_selection(step, eff),
-        lambda bits: sel_bind(
+        lambda bits: sel_map(
             sel_lift(tell(f"Continuation called with {format_assignment(bits)}"), eff),
-            lambda _: sel_unit(bits, eff),
+            lambda _: bits,
         ),
     )
 

@@ -242,6 +242,19 @@ class TestParseGame:
         with pytest.raises(GameFileError, match="^stage 0 has no moves$"):
             parse_game(doc)
 
+    def test_sequential_stage_with_a_repeated_move(self):
+        doc = json.loads(json.dumps(_SEQ_DOC))
+        doc["stages"][1]["moves"] = ["l", "r", "l"]
+        with pytest.raises(GameFileError, match="^stage 1 repeats move 'l'$"):
+            parse_game(doc)
+
+    @pytest.mark.parametrize("which, index", [("first", 0), ("second", 1)])
+    def test_simultaneous_move_list_with_a_repeated_move(self, which, index):
+        doc = json.loads(json.dumps(_SIM_DOC))
+        doc["moves"][index] = ["A", "A"]
+        with pytest.raises(GameFileError, match=f"^{which} move list repeats move 'A'$"):
+            parse_game(doc)
+
     def test_simultaneous_needs_two_players(self):
         doc = json.loads(json.dumps(_SIM_DOC))
         doc["players"] = ["Solo"]
@@ -384,6 +397,33 @@ class TestSolveCommand:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
+
+    def test_json_nested_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path} nests JSON arrays or objects too deeply\n"
+
+    def test_repeated_moves_are_rejected(self, tmp_path, capsys):
+        doc = {
+            "type": "simultaneous",
+            "players": ["Row", "Col"],
+            "moves": [["a", "a"], ["x"]],
+            "payoffs": {"a,x": [1, 1]},
+        }
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: first move list repeats move 'a'\n"
 
     def test_invalid_game_document(self, tmp_path, capsys):
         doc = json.loads(json.dumps(_SEQ_DOC))

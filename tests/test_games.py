@@ -267,6 +267,13 @@ class TestBackwardInduction:
         with pytest.raises(ValueError, match="moves"):
             backward_induction(game)
 
+    def test_rejects_a_repeated_move(self):
+        game = SequentialGameSpec(("P",), (Stage(0, ("a", "a")),), lambda _: (0,))
+        with pytest.raises(ValueError, match="^stage 0 repeats move 'a'$"):
+            backward_induction(game)
+        with pytest.raises(ValueError, match="^stage 0 repeats move 'a'$"):
+            backward_induction_oracle(game)
+
     def test_oracle_rejects_oversized_trees(self):
         game = SequentialGameSpec(
             ("P",),

@@ -9,6 +9,8 @@ also covers every other suite and the reporting contract.
 """
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from selcc import (
@@ -21,7 +23,12 @@ from selcc import (
     morphism_reports,
     randomized_monad_reports,
     run_all,
+    run_selection,
     sat_correctness_report,
+    sel_bind,
+    sel_map,
+    sel_product,
+    sel_unit,
     sum_equilibria_report,
 )
 from selcc.core import QUANTIFIER, SELECTION
@@ -30,10 +37,12 @@ from selcc.effects import (
     NondetValue,
     TraceValue,
     _dedup,
+    identity_effect,
     nondet_effect,
     trace_effect,
 )
 from selcc.laws import (
+    _continuations,
     _effect_laws,
     _exhaustive_reports,
     _nondet_effect_laws,
@@ -196,6 +205,141 @@ class TestRandomizedMonadLawsCatchBrokenBinds:
             _randomized_monad_failures(broken, trace_effect(), law, seed, 1000)
             for law in ("left unit", "right unit", "associativity")
         ] == expected
+
+
+# ---------------------------------------------------------------------------
+# Functor laws of sel_map, over every table selection and continuation at
+# carrier sizes up to 2.  Tables are identity-effect selections; the trace
+# and nondet versions wrap them so that the effect's value depends on the
+# choice.
+# ---------------------------------------------------------------------------
+
+_SIZES = (1, 2)
+
+
+def _traced(eps):
+    """A trace selection that chooses like ``eps`` and logs its choice after
+    the continuation's log at that choice."""
+
+    def chooser(k):
+        x = eps.chooser(lambda x: k(x).value)
+        return TraceValue(k(x).log + (f"chose {x}",), x)
+
+    return SelectionComputation(chooser, trace_effect())
+
+
+def _branching(eps):
+    """A nondet selection that chooses like ``eps`` and also offers 0."""
+
+    def chooser(k):
+        x = eps.chooser(lambda x: k(x).alternatives[0])
+        return NondetValue(tuple(dict.fromkeys((x, 0))))
+
+    return SelectionComputation(chooser, nondet_effect())
+
+
+# name -> (wrap a table selection, wrap a table continuation).  Continuation
+# results are duplicate-free, as NondetValue requires.
+_EFFECTS = {
+    "identity": (lambda eps: eps, lambda c: c),
+    "trace": (_traced, lambda c: lambda y: TraceValue((f"k {y}",), c(y))),
+    "nondet": (
+        _branching,
+        lambda c: lambda y: NondetValue(tuple(dict.fromkeys((c(y), 0)))),
+    ),
+}
+
+
+def _carriers(effect):
+    """Per carrier size pair ``(n, r)``: ``n``, ``r`` and the wrapped
+    selections over ``range(n)`` with results in ``range(r)``."""
+    wrap = _EFFECTS[effect][0]
+    for n, r in itertools.product(_SIZES, repeat=2):
+        yield n, r, [wrap(eps) for eps in _table_selections(n, r)]
+
+
+def _functor_law_counts(effect, smap):
+    """(cases, failures) per law for the map ``smap``: identity, composition,
+    and agreement with ``sel_bind`` into ``sel_unit``."""
+    counts = {"identity": [0, 0], "composition": [0, 0], "bind into unit": [0, 0]}
+
+    def check(law, lhs, rhs, conts):
+        for k in conts:
+            counts[law][0] += 1
+            counts[law][1] += run_selection(lhs, k) != run_selection(rhs, k)
+
+    wrap_k = _EFFECTS[effect][1]
+    for n, r, selections in _carriers(effect):
+        conts = [wrap_k(c) for c in _continuations(n, r)]
+        maps = [table.__getitem__ for table in itertools.product(range(n), repeat=n)]
+        for eps in selections:
+            check("identity", smap(eps, lambda x: x), eps, conts)
+            for g in maps:
+                unit_g = lambda x, g=g: sel_unit(g(x), eps.effect)
+                check("bind into unit", smap(eps, g), sel_bind(eps, unit_g), conts)
+                for h in maps:
+                    composed = lambda x, g=g, h=h: h(g(x))
+                    check("composition", smap(smap(eps, g), h), smap(eps, composed), conts)
+    return {law: tuple(pair) for law, pair in counts.items()}
+
+
+def _scores_the_candidate_itself(eps, g):
+    """A broken ``sel_map``: candidates are scored by ``k(x)``, not ``k(g(x))``."""
+    eff = eps.effect
+
+    def chooser(k):
+        return eff.bind(eps.chooser(k), lambda x: eff.unit(g(x)))
+
+    return SelectionComputation(chooser, eff)
+
+
+class TestSelMapFunctorLaws:
+    # Cases, the same for every effect: one per selection and continuation
+    # (identity), times each endomap g (bind into unit), times each pair of
+    # endomaps g, h (composition).  Carrier pairs (n, r) of (1, 1), (1, 2),
+    # (2, 1) and (2, 2) give 1, 1, 2 and 16 selections, 1, 2, 1 and 4
+    # continuations and 1, 1, 4 and 4 endomaps.
+    CASES = {"identity": 69, "composition": 1059, "bind into unit": 267}
+
+    @pytest.mark.parametrize("effect", sorted(_EFFECTS))
+    def test_sel_map_is_a_functor_and_a_bind_into_unit(self, effect):
+        counts = _functor_law_counts(effect, sel_map)
+        assert counts == {law: (cases, 0) for law, cases in self.CASES.items()}
+
+    @pytest.mark.parametrize(
+        "effect, failures", [("identity", 16), ("nondet", 16), ("trace", 148)]
+    )
+    def test_a_map_scoring_the_candidate_itself_fails(self, effect, failures):
+        # Identity and composition cannot see this fault (both sides score
+        # every candidate by itself); agreement with the bind does.  Trace
+        # fails more often because the continuation's log reaches the result.
+        counts = _functor_law_counts(effect, _scores_the_candidate_itself)
+        assert counts == {
+            "identity": (self.CASES["identity"], 0),
+            "composition": (self.CASES["composition"], 0),
+            "bind into unit": (self.CASES["bind into unit"], failures),
+        }
+
+    @pytest.mark.parametrize("effect", sorted(_EFFECTS))
+    def test_sel_product_equals_its_monadic_definition(self, effect):
+        wrap_k = _EFFECTS[effect][1]
+        cases = failures = 0
+        for n, r, selections in _carriers(effect):
+            conts = [
+                wrap_k(lambda p, c=c.__getitem__, n=n: c(p[0] * n + p[1]))
+                for c in itertools.product(range(r), repeat=n * n)
+            ]
+            for eps, delta in itertools.product(selections, repeat=2):
+                monadic = sel_bind(
+                    eps,
+                    lambda x, d=delta: sel_bind(d, lambda y: sel_unit((x, y), d.effect)),
+                )
+                product = sel_product(eps, delta)
+                for k in conts:
+                    cases += 1
+                    failures += run_selection(product, k) != run_selection(monadic, k)
+        # Pairs of selections times continuations on pairs: 1 + 2 + 4 + 4,096.
+        assert (cases, failures) == (4103, 0)
 
 
 class TestMorphismLaws:
