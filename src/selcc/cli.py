@@ -29,7 +29,7 @@ from .games import (
     SequentialGameSpec,
     SimultaneousGameSpec,
     Stage,
-    _repeated_move,
+    _repeated_index,
     _validate_sequential,
     backward_induction,
     nondet_argmax_selection,
@@ -292,9 +292,9 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
         if not row_moves or not col_moves:
             raise GameFileError("move lists must be nonempty")
         for what, moves in (("first", row_moves), ("second", col_moves)):
-            repeated = _repeated_move(moves)
+            repeated = _repeated_index(moves)
             if repeated is not None:
-                raise GameFileError(f"{what} move list repeats move {repeated!r}")
+                raise GameFileError(f"{what} move list repeats move {moves[repeated]!r}")
         pairs = [(x, y) for x in row_moves for y in col_moves]
         table = _parse_payoff_table(doc.get("payoffs"), [tuple(p) for p in pairs], 2)
         return SimultaneousGameSpec(

@@ -68,6 +68,36 @@ class SimultaneousGameSpec:
     payoff: Callable[[str, str], UtilityVector]
 
 
+def _repeated_index(elements: Sequence[Any]) -> int | None:
+    """The index of the first element equal to an earlier one, or None.
+
+    Hashable elements are checked through a set; a sequence holding an
+    unhashable element is scanned pairwise instead.
+    """
+    seen: set[Any] = set()
+    try:
+        for index, element in enumerate(elements):
+            if element in seen:
+                return index
+            seen.add(element)
+    except TypeError:
+        return next(
+            (i for i, element in enumerate(elements) if element in elements[:i]), None
+        )
+    return None
+
+
+def _distinct(domain: Sequence[X], what: str) -> tuple[X, ...]:
+    """``domain`` as a tuple; ``ValueError`` naming the first repeated
+    element otherwise, since a ``NondetValue`` built from it must not hold
+    one alternative twice."""
+    elements = tuple(domain)
+    repeated = _repeated_index(elements)
+    if repeated is not None:
+        raise ValueError(f"{what} repeats element {elements[repeated]!r}")
+    return elements
+
+
 def argmax_selection(
     domain: Sequence[X],
     eff: EffectInstance | None = None,
@@ -111,7 +141,7 @@ def nondet_argmax_selection(
     Discarding ties here would silently drop equilibria downstream, hence
     every maximiser is kept, in domain order.
     """
-    elements = tuple(domain)
+    elements = _distinct(domain, "nondet_argmax_selection domain")
     if not elements:
         raise ValueError("nondet_argmax_selection requires a nonempty domain")
     eff = nondet_effect()
@@ -134,7 +164,7 @@ def nondet_argmax_selection(
 def fix_selection(domain: Sequence[X]) -> SelectionComputation[X, Any]:
     """The agent that wants to pick a winner: all domain elements that appear
     in their own continuation result (fixpoints), in domain order."""
-    elements = tuple(domain)
+    elements = _distinct(domain, "fix_selection domain")
 
     def chooser(k: Callable[[X], NondetValue]) -> NondetValue:
         return NondetValue(tuple(x for x in elements if x in k(x).alternatives))
@@ -145,22 +175,12 @@ def fix_selection(domain: Sequence[X]) -> SelectionComputation[X, Any]:
 def punk_selection(domain: Sequence[X]) -> SelectionComputation[X, Any]:
     """The agent that wants anything but the winner: all domain elements that
     do *not* appear in their own continuation result."""
-    elements = tuple(domain)
+    elements = _distinct(domain, "punk_selection domain")
 
     def chooser(k: Callable[[X], NondetValue]) -> NondetValue:
         return NondetValue(tuple(x for x in elements if x not in k(x).alternatives))
 
     return SelectionComputation(chooser, nondet_effect())
-
-
-def _repeated_move(moves: Sequence[str]) -> str | None:
-    """The first move that occurs twice in ``moves``, or None."""
-    seen: set[str] = set()
-    for move in moves:
-        if move in seen:
-            return move
-        seen.add(move)
-    return None
 
 
 def _validate_sequential(players: Sequence[str], stages: Sequence[Stage]) -> None:
@@ -171,9 +191,9 @@ def _validate_sequential(players: Sequence[str], stages: Sequence[Stage]) -> Non
     for index, stage in enumerate(stages):
         if not stage.moves:
             raise ValueError(f"stage {index} has no moves")
-        repeated = _repeated_move(stage.moves)
+        repeated = _repeated_index(stage.moves)
         if repeated is not None:
-            raise ValueError(f"stage {index} repeats move {repeated!r}")
+            raise ValueError(f"stage {index} repeats move {stage.moves[repeated]!r}")
         if not 0 <= stage.controller < len(players):
             raise ValueError(
                 f"stage {index} controller {stage.controller} out of range "
@@ -233,29 +253,40 @@ def sum_selections(
 ) -> SelectionComputation[tuple[Any, Any], Any]:
     """Combine two nondeterministic players into a selection over move pairs.
 
-    For every pair in the domain product, keep it when the first player's
-    component is among the first player's choices with the second component
-    held fixed, and symmetrically for the second player.  This mutual-best-
-    choice reading makes argmax players produce exactly the pure Nash
-    equilibria of the underlying game; it can legitimately choose nothing
-    (an empty alternative set) when no pair is mutually acceptable.
+    Keep the pair ``(x, y)`` when ``x`` is among the first player's choices
+    with ``y`` held fixed, and ``y`` is among the second player's choices
+    with ``x`` held fixed, in domain-product order.  This mutual-best-choice
+    reading makes argmax players produce exactly the pure Nash equilibria of
+    the underlying game; it can legitimately choose nothing (an empty
+    alternative set) when no pair is mutually acceptable.  Neither domain
+    may repeat an element (``ValueError``).
+
+    The first player's choices depend on ``y`` alone and the second's on
+    ``x`` alone, so the chooser runs ``eps`` once per ``y`` and ``delta``
+    once per ``x`` into two best-response tables, then scans the pairs
+    against them.  Choosers and continuations are pure (the
+    ``SelectionComputation`` contract), so every agent gives the same pairs
+    as it would if both players ran for each pair.  With argmax players on a
+    tie-free m-by-m game the continuation runs 2m^2 times and the players'
+    choosers 2m times, against m^3 + m^2 calls and m^2 + m runs when the
+    row player ran for every pair.  Membership is tested on the stored alternatives, not
+    through a set, so unhashable moves work.
     """
-    xs = tuple(x_domain)
-    ys = tuple(y_domain)
+    xs = _distinct(x_domain, "sum_selections x_domain")
+    ys = _distinct(y_domain, "sum_selections y_domain")
     eps_chooser = eps.chooser
     delta_chooser = delta.chooser
 
     def chooser(k: Callable[[tuple[Any, Any]], NondetValue]) -> NondetValue:
-        pairs: list[tuple[Any, Any]] = []
-        for x in xs:
-            for y in ys:
-                x_choices = eps_chooser(lambda xp, y=y: k((xp, y))).alternatives
-                if x not in x_choices:
-                    continue
-                y_choices = delta_chooser(lambda yp, x=x: k((x, yp))).alternatives
-                if y in y_choices:
-                    pairs.append((x, y))
-        return NondetValue(tuple(pairs))
+        # row_replies[j]: eps's choices against ys[j]; col_replies[i]: delta's against xs[i].
+        row_replies = [eps_chooser(lambda xp, y=y: k((xp, y))).alternatives for y in ys]
+        col_replies = [delta_chooser(lambda yp, x=x: k((x, yp))).alternatives for x in xs]
+        return NondetValue(tuple(
+            (x, y)
+            for x, col_reply in zip(xs, col_replies)
+            for y, row_reply in zip(ys, row_replies)
+            if x in row_reply and y in col_reply
+        ))
 
     return SelectionComputation(chooser, nondet_effect())
 

@@ -8,6 +8,7 @@ import pytest
 
 from selcc import (
     NondetValue,
+    SelectionComputation,
     SequentialGameSpec,
     SimultaneousGameSpec,
     Stage,
@@ -18,6 +19,7 @@ from selcc import (
     max_quantifier,
     nash_oracle,
     nondet_argmax_selection,
+    nondet_effect,
     punk_selection,
     run_quantifier,
     run_selection,
@@ -151,6 +153,12 @@ class TestNondetArgmax:
         with pytest.raises(ValueError):
             nondet_argmax_selection(())
 
+    def test_repeated_element_is_rejected(self):
+        with pytest.raises(
+            ValueError, match="^nondet_argmax_selection domain repeats element 'a'$"
+        ):
+            nondet_argmax_selection(["a", "b", "a"])
+
 
 class TestVotingAgents:
     def test_conformist_keeps_fixpoints_in_domain_order(self):
@@ -163,6 +171,21 @@ class TestVotingAgents:
         eps = punk_selection(("A", "B"))
         assert run_selection(eps, lambda _: NondetValue(("A",))) == NondetValue(("B",))
         assert run_selection(eps, lambda x: NondetValue((x,))) == NondetValue(())
+
+    @pytest.mark.parametrize("agent", [fix_selection, punk_selection])
+    def test_repeated_element_is_rejected(self, agent):
+        with pytest.raises(
+            ValueError, match=f"^{agent.__name__} domain repeats element 'a'$"
+        ):
+            agent(["a", "a"])
+        with pytest.raises(ValueError, match=r"repeats element \[1\]$"):
+            agent([[1], [2], [1]])
+
+    def test_unhashable_elements_are_accepted(self):
+        domain = ([1], [2])
+        k = lambda _: NondetValue(([2],))
+        assert run_selection(fix_selection(domain), k) == NondetValue(([2],))
+        assert run_selection(punk_selection(domain), k) == NondetValue(([1],))
 
     def test_agents_complement_each_other_pointwise(self):
         domain = ("A", "B", "C")
@@ -359,3 +382,146 @@ class TestSimultaneousGames:
                 lambda x, y: table[(x, y)],
             )
             assert _equilibria_of(game) == nash_oracle(game)
+
+    @pytest.mark.parametrize("which", ["x_domain", "y_domain"])
+    def test_sum_rejects_a_repeated_move(self, which):
+        eps = nondet_argmax_selection(("A", "B"))
+        domains = {"x_domain": ("A", "B"), "y_domain": ("A", "B")}
+        domains[which] = ("A", "B", "B")
+        with pytest.raises(
+            ValueError, match=f"^sum_selections {which} repeats element 'B'$"
+        ):
+            sum_selections(eps, eps, domains["x_domain"], domains["y_domain"])
+
+    def test_sum_accepts_unhashable_moves(self):
+        moves = ([0], [1])
+        eps = fix_selection(moves)
+        chosen = run_selection(
+            sum_selections(eps, eps, moves, moves), lambda pair: NondetValue(pair)
+        )
+        assert chosen.alternatives == tuple(itertools.product(moves, moves))
+
+
+class TestSumSelectionsContinuationCalls:
+    """Exact work of the sum on tie-free m-by-m games: one row-player run per
+    column move and one column-player run per row move, so 2m chooser runs
+    and 2m^2 continuation calls (running the row player for every pair made
+    m^3 + m^2 calls)."""
+
+    @pytest.mark.parametrize(
+        "m, k_calls, chooser_runs",
+        [(2, 8, 4), (5, 50, 10), (20, 800, 40), (30, 1800, 60)],
+    )
+    def test_tie_free_games(self, m, k_calls, chooser_runs):
+        rng = random.Random(m)
+        moves = tuple(f"m{i}" for i in range(m))
+        cells = list(itertools.product(moves, moves))
+        table = dict(
+            zip(cells, zip(rng.sample(range(m * m), m * m), rng.sample(range(m * m), m * m)))
+        )
+        game = SimultaneousGameSpec(
+            ("Row", "Col"), (moves, moves), lambda x, y: table[(x, y)]
+        )
+        counts = {"k": 0, "chooser": 0}
+
+        def counted(selection):
+            def chooser(k):
+                counts["chooser"] += 1
+                return selection.chooser(k)
+
+            return SelectionComputation(chooser, selection.effect)
+
+        def k(pair):
+            counts["k"] += 1
+            return NondetValue((table[pair],))
+
+        eps = counted(nondet_argmax_selection(moves, key=lambda u: u[0]))
+        delta = counted(nondet_argmax_selection(moves, key=lambda u: u[1]))
+        chosen = run_selection(sum_selections(eps, delta, moves, moves), k)
+        assert chosen.alternatives == nash_oracle(game)
+        assert counts == {"k": k_calls, "chooser": chooser_runs}
+
+
+def _per_pair_sum(eps, delta, xs, ys):
+    """The reference definition of the sum: run the first player for every
+    pair, and the second player wherever the first accepts its component."""
+
+    def chooser(k):
+        pairs = []
+        for x in xs:
+            for y in ys:
+                if x not in eps.chooser(lambda xp, y=y: k((xp, y))).alternatives:
+                    continue
+                if y in delta.chooser(lambda yp, x=x: k((x, yp))).alternatives:
+                    pairs.append((x, y))
+        return NondetValue(tuple(pairs))
+
+    return SelectionComputation(chooser, nondet_effect())
+
+
+def _sum_with_swapped_lookups(eps, delta, xs, ys):
+    """A broken tabulated sum for square games: it looks each best-response
+    table up by the other player's index."""
+
+    def chooser(k):
+        row_replies = [eps.chooser(lambda xp, y=y: k((xp, y))).alternatives for y in ys]
+        col_replies = [delta.chooser(lambda yp, x=x: k((x, yp))).alternatives for x in xs]
+        return NondetValue(tuple(
+            (x, y)
+            for i, x in enumerate(xs)
+            for j, y in enumerate(ys)
+            if x in row_replies[i] and y in col_replies[j]
+        ))
+
+    return SelectionComputation(chooser, nondet_effect())
+
+
+def _sum_mismatches(sum_impl) -> tuple[int, int]:
+    """(cases, mismatches) of ``sum_impl`` against the per-pair reference,
+    alternatives and order both, on seeded m-by-m games with ties (m <= 6):
+    argmax players, also checked against ``nash_oracle``, and every pairing
+    of ``fix_selection`` and ``punk_selection`` over random move sets."""
+    rng = random.Random(2017)
+    cases = mismatches = 0
+    for m in range(1, 7):
+        moves = tuple(f"m{i}" for i in range(m))
+        cells = list(itertools.product(moves, moves))
+        for _ in range(12):
+            table = {cell: (rng.randint(0, 2), rng.randint(0, 2)) for cell in cells}
+            game = SimultaneousGameSpec(
+                ("Row", "Col"), (moves, moves), lambda x, y, t=table: t[(x, y)]
+            )
+            k = lambda pair, t=table: NondetValue((t[pair],))
+            eps = nondet_argmax_selection(moves, key=lambda u: u[0])
+            delta = nondet_argmax_selection(moves, key=lambda u: u[1])
+            chosen = run_selection(sum_impl(eps, delta, moves, moves), k)
+            reference = run_selection(_per_pair_sum(eps, delta, moves, moves), k)
+            cases += 2
+            mismatches += chosen != reference
+            mismatches += chosen.alternatives != nash_oracle(game)
+
+            outcomes = {
+                cell: NondetValue(tuple(v for v in moves if rng.random() < 0.5))
+                for cell in cells
+            }
+            for row_agent, col_agent in itertools.product(
+                (fix_selection, punk_selection), repeat=2
+            ):
+                eps, delta = row_agent(moves), col_agent(moves)
+                chosen = run_selection(sum_impl(eps, delta, moves, moves), outcomes.get)
+                reference = run_selection(
+                    _per_pair_sum(eps, delta, moves, moves), outcomes.get
+                )
+                cases += 1
+                mismatches += chosen != reference
+    return cases, mismatches
+
+
+class TestSumSelectionsAgainstPerPairReference:
+    def test_tabulated_sum_equals_the_per_pair_definition(self):
+        assert _sum_mismatches(sum_selections) == (432, 0)
+
+    def test_the_check_catches_swapped_table_lookups(self):
+        cases, mismatches = _sum_mismatches(_sum_with_swapped_lookups)
+        assert cases == 432
+        assert mismatches > 0
