@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 law failures, 2 usage/validation errors.
 from __future__ import annotations
 
 import argparse
+import ast
 import itertools
 import json
 import sys
@@ -62,15 +63,15 @@ MAX_SEQUENTIAL_STAGES = 100
 MAX_DEMO_SAT_VARS = 20
 
 # How deep ``parse_formula`` lets "(" and "!" nest, and "!", "&" and "|"
-# closures.  The parser recurses through four frames per parenthesis and one
-# per "!", and evaluation through one frame per closure, so without a bound
-# deep formulas end in a RecursionError (measured in-process at --vars 2:
-# 247 nested parentheses still parse, and about 972 "!"s or terms of a flat
-# "|" chain still evaluate).  The SAT search evaluates the formula about 8
-# frames deeper per variable; at --vars 20 a formula of 200 "!"s still runs
-# (10.6 s with its output sent to /dev/null, peak RSS 117 MB, on a 2-core
-# Linux x86-64 machine with Python 3.11).  A 3-CNF of 51 clauses nests 53
-# closures.
+# operators (a flat chain of 201 terms is 200 deep).  Evaluation runs one
+# compiled function and does not recurse, so the limit guards the two steps
+# that still do.  The parser recurses through four frames per parenthesis and
+# one per "!" (measured in-process at --vars 2: 247 nested parentheses still
+# parse).  Building and compiling the function on the first evaluation take
+# about one frame of the recursion limit per nested node, and that happens deep
+# inside the SAT search: at --vars 20 a formula of 200 "!"s still runs (8.7 s
+# with its output sent to /dev/null, peak RSS 117 MB, on a 2-core Linux x86-64
+# machine with Python 3.11).
 MAX_FORMULA_DEPTH = 200
 
 
@@ -84,7 +85,9 @@ MAX_FORMULA_DEPTH = 200
 #   atom := decimal-index | "(" or ")"
 # ---------------------------------------------------------------------------
 
-_Node = Callable[[Sequence[bool]], bool]
+# A parsed formula: a variable index, ("!", node), or an n-ary ("&", node, ...)
+# or ("|", node, ...) over at least two nodes.
+_Node = int | tuple
 
 
 def _lex(src: str) -> list[tuple[str, int, int]]:
@@ -109,6 +112,43 @@ def _lex(src: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
+def _chain(op: str, terms: list[_Node]) -> _Node:
+    """``terms`` joined by ``op``: one n-ary node, or the term itself when alone."""
+    return terms[0] if len(terms) == 1 else (op, *terms)
+
+
+# Every node gets a source location, so the tree needs no
+# ``ast.fix_missing_locations`` walk before it compiles.
+_AT = {"lineno": 1, "col_offset": 0}
+_BOOL_OPS = {"&": ast.And(), "|": ast.Or()}
+
+
+def _compile(tree: _Node) -> Callable[[Sequence[bool]], bool]:
+    """Compile ``tree`` into ``lambda b: bool(...)`` over the assignment ``b``.
+
+    The expression is built as an ``ast``, not as source text: the tokenizer
+    stops at 200 nested brackets, and the ``bool(`` and ``b[`` wrappers would
+    push a formula at the depth limit past it.  The tree holds only validated
+    indices and three operators, so no user text reaches the compiler.
+    """
+    load = ast.Load()
+    bits = ast.Name("b", load, **_AT)
+
+    def build(node: _Node) -> ast.expr:
+        if isinstance(node, int):
+            return ast.Subscript(bits, ast.Constant(node, **_AT), load, **_AT)
+        if node[0] == "!":
+            return ast.UnaryOp(ast.Not(), build(node[1]), **_AT)
+        return ast.BoolOp(_BOOL_OPS[node[0]], list(map(build, node[1:])), **_AT)
+
+    body = ast.Call(ast.Name("bool", load, **_AT), [build(tree)], [], **_AT)
+    params = ast.arguments(
+        posonlyargs=[], args=[ast.arg("b", **_AT)], kwonlyargs=[], kw_defaults=[], defaults=[]
+    )
+    code = compile(ast.Expression(ast.Lambda(params, body, **_AT)), "<formula>", "eval")
+    return eval(code, {"__builtins__": {}, "bool": bool})
+
+
 def parse_formula(src: str, arity: int) -> BooleanFormula:
     """Parse ``src`` into a total formula over ``arity`` variables.
 
@@ -116,6 +156,11 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
     tighter than ``|``; parentheses group.  Out-of-range indices, syntax
     errors and nesting deeper than :data:`MAX_FORMULA_DEPTH` levels raise
     :class:`FormulaParseError` naming the offending position.
+
+    Parsing builds a light tree, with each flat chain of one operator as one
+    n-ary node.  The first evaluation compiles the tree into one Python
+    function and drops it, so a formula that is never evaluated is never
+    compiled.
     """
     tokens = _lex(src)
     pos = 0
@@ -138,28 +183,30 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
 
     # ``level`` counts the "(" and "!" being parsed, which the parser recurses
     # through.  Each function returns a node and its depth, the nesting of its
-    # "!", "&" and "|" closures, which evaluation recurses through.
+    # "!", "&" and "|" operators read as binary, left-associative ones.
     def parse_or(level: int) -> tuple[_Node, int]:
         node, depth = parse_and(level)
+        terms = [node]
         while (token := peek()) is not None and token[0] == "|":
             take()
             right, right_depth = parse_and(level)
             depth = (depth if depth > right_depth else right_depth) + 1
             if depth > MAX_FORMULA_DEPTH:
                 raise too_deep(token[2])
-            node = (lambda l, r: lambda bits: l(bits) or r(bits))(node, right)
-        return node, depth
+            terms.append(right)
+        return _chain("|", terms), depth
 
     def parse_and(level: int) -> tuple[_Node, int]:
         node, depth = parse_not(level)
+        terms = [node]
         while (token := peek()) is not None and token[0] == "&":
             take()
             right, right_depth = parse_not(level)
             depth = (depth if depth > right_depth else right_depth) + 1
             if depth > MAX_FORMULA_DEPTH:
                 raise too_deep(token[2])
-            node = (lambda l, r: lambda bits: l(bits) and r(bits))(node, right)
-        return node, depth
+            terms.append(right)
+        return _chain("&", terms), depth
 
     def parse_not(level: int) -> tuple[_Node, int]:
         token = peek()
@@ -170,7 +217,7 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
             inner, depth = parse_not(level + 1)
             if depth >= MAX_FORMULA_DEPTH:
                 raise too_deep(token[2])
-            return (lambda bits: not inner(bits)), depth + 1
+            return ("!", inner), depth + 1
         return parse_atom(level)
 
     def parse_atom(level: int) -> tuple[_Node, int]:
@@ -180,7 +227,7 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
                 raise FormulaParseError(
                     f"variable index {value} out of range for arity {arity} at position {at}"
                 )
-            return (lambda bits, i=value: bits[i]), 0
+            return value, 0
         if kind == "(":
             if level >= MAX_FORMULA_DEPTH:
                 raise too_deep(at)
@@ -191,10 +238,20 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
             return node
         raise FormulaParseError(f"unexpected token {kind!r} at position {at}")
 
-    node, _ = parse_or(0)
+    tree, _ = parse_or(0)
     if (token := peek()) is not None:
         raise FormulaParseError(f"unexpected token {token[0]!r} at position {token[2]}")
-    return BooleanFormula(arity, lambda bits: bool(node(bits)))
+
+    def compile_then_evaluate(bits: Sequence[bool]) -> bool:
+        nonlocal run, tree
+        pending = tree
+        if pending is not None:  # None once another thread has compiled it
+            run = _compile(pending)
+            tree = None
+        return run(bits)
+
+    run = compile_then_evaluate
+    return BooleanFormula(arity, lambda bits: run(bits))
 
 
 # ---------------------------------------------------------------------------

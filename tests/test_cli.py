@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+import re
 import subprocess
 import sys
 
@@ -18,11 +20,14 @@ from selcc import (
     SimultaneousGameSpec,
     backward_induction,
     backward_induction_oracle,
+    format_assignment,
     main,
     parse_formula,
     parse_game,
     sat_callcc,
+    sat_product,
 )
+from selcc import cli
 from selcc.cli import MAX_DEMO_SAT_VARS, MAX_FORMULA_DEPTH, MAX_SEQUENTIAL_STAGES
 
 _SEQ_DOC = {
@@ -171,6 +176,121 @@ class TestParseFormula:
         with pytest.raises(FormulaParseError) as excinfo:
             parse_formula(src, arity)
         assert f"position {position}" in str(excinfo.value)
+
+
+def _random_cnf(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """A 3-CNF at clause/variable ratio 4.26; literal ``v + 1`` or ``-(v + 1)``."""
+    return [
+        tuple(v + 1 if rng.random() < 0.5 else -(v + 1) for v in rng.sample(range(n), 3))
+        for _ in range(round(4.26 * n))
+    ]
+
+
+def _cnf_text(clauses: list[tuple[int, ...]]) -> str:
+    return "&".join(
+        "(" + "|".join(str(l - 1) if l > 0 else f"!{-l - 1}" for l in clause) + ")"
+        for clause in clauses
+    )
+
+
+def _cnf_holds(clauses: list[tuple[int, ...]], bits: tuple[bool, ...]) -> bool:
+    return all(any(bits[abs(l) - 1] == (l > 0) for l in clause) for clause in clauses)
+
+
+def _python_reference(text: str):
+    """The formula as a Python lambda: ``!``, ``&``, ``|`` rank as ``not``,
+    ``and``, ``or`` do, so Python's own operators give the reference answer."""
+    body = re.sub(r"\d+", lambda m: f"b[{m.group()}]", text)
+    body = body.replace("!", " not ").replace("&", " and ").replace("|", " or ")
+    return eval(f"lambda b: bool({body})")
+
+
+_MIXED_CHAINS = [
+    "0|1&!2|3&4",
+    "(0|1)|2",
+    "!(0&1)&2",
+    "(0|1)&2",
+    "(0&1)|2&3",
+    "0&(1|2)&3|4",
+    "!0|!1&!!2",
+    "(0|1)&(2|3)&!4",
+    "0|(1|2&3)|4",
+    "0&1&2|3|4&0",
+]
+
+
+def _random_chain(rng: random.Random, arity: int, depth: int = 0) -> str:
+    """An unparenthesised chain of mixed ``&`` and ``|``, with negated and
+    parenthesised terms, over variables below ``arity``."""
+    terms = []
+    for _ in range(rng.randint(2, 5)):
+        if depth < 2 and rng.random() < 0.25:
+            term = f"({_random_chain(rng, arity, depth + 1)})"
+        else:
+            term = str(rng.randrange(arity))
+        terms.append("!" * rng.choice((0, 0, 1, 2)) + term)
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice("&|") + term
+    return text
+
+
+def _assert_cnfs_agree_with_clause_evaluation() -> None:
+    rng = random.Random(8)
+    for n in range(8, 13):
+        for _ in range(2):
+            clauses = _random_cnf(rng, n)
+            formula = parse_formula(_cnf_text(clauses), n)
+            for bits in itertools.product((False, True), repeat=n):
+                assert formula.evaluate(bits) is _cnf_holds(clauses, bits), (n, bits)
+
+
+def _assert_chains_agree_with_python() -> None:
+    rng = random.Random(5)
+    texts = _MIXED_CHAINS + [_random_chain(rng, 5) for _ in range(200)]
+    for text in texts:
+        formula, reference = parse_formula(text, 5), _python_reference(text)
+        for bits in itertools.product((False, True), repeat=5):
+            assert formula.evaluate(bits) is reference(bits), (text, bits)
+
+
+class TestCompiledFormula:
+    def test_cnfs_agree_with_a_clause_evaluator(self):
+        _assert_cnfs_agree_with_clause_evaluation()
+
+    def test_mixed_chains_agree_with_python_operators(self):
+        _assert_chains_agree_with_python()
+
+    def test_a_broken_merge_is_caught(self, monkeypatch):
+        chain = cli._chain
+
+        def folds_into_left_group(op, terms):
+            # Appends the terms after a parenthesised group to that group,
+            # whatever its operator: "(0|1)&2" becomes "0|1|2".
+            first = terms[0]
+            if len(terms) > 1 and isinstance(first, tuple) and first[0] != "!":
+                return first + tuple(terms[1:])
+            return chain(op, terms)
+
+        monkeypatch.setattr(cli, "_chain", folds_into_left_group)
+        with pytest.raises(AssertionError):
+            _assert_cnfs_agree_with_clause_evaluation()
+        with pytest.raises(AssertionError):
+            _assert_chains_agree_with_python()
+
+    def test_compiles_once_on_the_first_evaluation(self, monkeypatch):
+        calls = []
+
+        def counting_compile(*args, **kwargs):
+            calls.append(args)
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compile", counting_compile, raising=False)
+        formula = parse_formula("0&!1|2", 3)
+        assert calls == []
+        assert formula.evaluate((True, False, False)) is True
+        assert formula.evaluate((False, False, False)) is False
+        assert len(calls) == 1
 
 
 class TestParseGame:
@@ -355,6 +475,26 @@ class TestDemoCommands:
         formula = "(" * depth + "0" + ")" * depth
         assert main(["demo-sat", "--vars", "1", "--formula", formula]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "[True]"
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "!" * MAX_FORMULA_DEPTH + "0",
+            "|".join(str(i % 12) for i in range(MAX_FORMULA_DEPTH + 1)),
+            "&".join(str(i % 12) for i in range(MAX_FORMULA_DEPTH + 1)),
+            "".join(
+                f"{i % 12}{'&' if i % 2 else '|'}(" for i in range(MAX_FORMULA_DEPTH)
+            )
+            + "11"
+            + ")" * MAX_FORMULA_DEPTH,
+        ],
+        ids=["negations", "or-chain", "and-chain", "mixed-nesting"],
+    )
+    def test_sat_demo_runs_the_deepest_formulas_at_twelve_variables(self, capsys, formula):
+        # The formula compiles on its first evaluation, deep inside the search.
+        assert main(["demo-sat", "--vars", "12", "--formula", formula]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == format_assignment(sat_product(parse_formula(formula, 12)))
 
 
 class TestSolveCommand:
