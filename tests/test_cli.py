@@ -278,20 +278,6 @@ class TestCompiledFormula:
         with pytest.raises(AssertionError):
             _assert_chains_agree_with_python()
 
-    def test_compiles_once_on_the_first_evaluation(self, monkeypatch):
-        calls = []
-
-        def counting_compile(*args, **kwargs):
-            calls.append(args)
-            return compile(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "compile", counting_compile, raising=False)
-        formula = parse_formula("0&!1|2", 3)
-        assert calls == []
-        assert formula.evaluate((True, False, False)) is True
-        assert formula.evaluate((False, False, False)) is False
-        assert len(calls) == 1
-
 
 class TestParseGame:
     def test_sequential_round_trip_solves_like_the_oracle(self):
@@ -491,7 +477,7 @@ class TestDemoCommands:
         ids=["negations", "or-chain", "and-chain", "mixed-nesting"],
     )
     def test_sat_demo_runs_the_deepest_formulas_at_twelve_variables(self, capsys, formula):
-        # The formula compiles on its first evaluation, deep inside the search.
+        # demo-sat compiles the formula as it parses it, before the search.
         assert main(["demo-sat", "--vars", "12", "--formula", formula]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == format_assignment(sat_product(parse_formula(formula, 12)))
