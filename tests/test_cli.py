@@ -278,6 +278,13 @@ class TestCompiledFormula:
         with pytest.raises(AssertionError):
             _assert_chains_agree_with_python()
 
+    def test_evaluation_takes_exactly_arity_values(self):
+        formula = parse_formula("0|!1", 3)
+        assert formula.evaluate([False, False, True]) is True
+        for bits in [(True,), (True, False), (True, False, False, False)]:
+            with pytest.raises(ValueError):
+                formula.evaluate(bits)
+
 
 class TestParseGame:
     def test_sequential_round_trip_solves_like_the_oracle(self):
