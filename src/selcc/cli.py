@@ -87,28 +87,33 @@ MAX_FORMULA_DEPTH = 200
 _Node = int | tuple
 
 
-def _lex(src: str) -> list[tuple[str, int, int]]:
-    """``src`` as (kind, index, position) tokens, closed by an "end" token."""
-    tokens: list[tuple[str, int, int]] = []
+def _lex(src: str) -> list[tuple[str, str, int]]:
+    """``src`` as (kind, text, position) tokens, closed by an "end" token.
+
+    Only the ASCII digits ``0``-``9`` form an index (``str.isdigit`` also
+    accepts "²" and "٢").  An index's text drops its leading zeros and stays
+    text, since ``int`` refuses runs of more than 4,300 digits.
+    """
+    tokens: list[tuple[str, str, int]] = []
     append = tokens.append
     n = len(src)
     i = 0
     while i < n:
         ch = src[i]
         if ch in "!&|()":
-            append((ch, 0, i))
+            append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in "0123456789":
             start = i
             i += 1
-            while i < n and src[i].isdigit():
+            while i < n and src[i] in "0123456789":
                 i += 1
-            append(("index", int(src[start:i]), start))
+            append(("index", src[start:i].lstrip("0") or "0", start))
         elif ch.isspace():
             i += 1
         else:
             raise FormulaParseError(f"unexpected character {ch!r} at position {i}")
-    append(("end", 0, n))
+    append(("end", "", n))
     return tokens
 
 
@@ -170,10 +175,10 @@ def _compile(tree: _Node, arity: int) -> Callable[[Sequence[bool]], bool]:
 def parse_formula(src: str, arity: int) -> BooleanFormula:
     """Parse ``src`` into a total formula over ``arity`` variables.
 
-    Variables are decimal indices; ``!`` binds tighter than ``&``, which binds
-    tighter than ``|``; parentheses group.  Out-of-range indices, syntax
-    errors and nesting deeper than :data:`MAX_FORMULA_DEPTH` levels raise
-    :class:`FormulaParseError` naming the offending position.
+    Variables are decimal indices in ASCII digits; ``!`` binds tighter than
+    ``&``, which binds tighter than ``|``; parentheses group.  Out-of-range
+    indices, syntax errors and nesting deeper than :data:`MAX_FORMULA_DEPTH`
+    levels raise :class:`FormulaParseError` naming the offending position.
 
     Parsing builds a light tree, with each flat chain of one operator as one
     n-ary node, and compiles it into one Python function (see
@@ -182,8 +187,10 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
     """
     tokens = _lex(src)
     pos = 0
+    # An index with more digits than ``arity`` is out of range, however long.
+    arity_digits = len(str(arity))
 
-    def take() -> tuple[str, int, int]:
+    def take() -> tuple[str, str, int]:
         nonlocal pos
         token = tokens[pos]
         if token[0] == "end":
@@ -242,13 +249,13 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
         return parse_atom(level)
 
     def parse_atom(level: int) -> tuple[_Node, int]:
-        kind, value, at = take()
+        kind, text, at = take()
         if kind == "index":
-            if value >= arity:
+            if len(text) > arity_digits or int(text) >= arity:
                 raise FormulaParseError(
-                    f"variable index {value} out of range for arity {arity} at position {at}"
+                    f"variable index {text} out of range for arity {arity} at position {at}"
                 )
-            return value, 0
+            return int(text), 0
         if kind == "(":
             if level >= MAX_FORMULA_DEPTH:
                 raise too_deep(at)

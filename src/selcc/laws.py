@@ -10,20 +10,21 @@ subcommand.  Two kinds of sweep are used:
 * seeded randomized sweeps over the trace and nondeterminism effects, whose
   value spaces (logs, alternative sets) are unbounded.
 
-Performance note: over the identity effect a computation on finite carriers
-is pure, so its table of results over every continuation fixes it.  The
-exhaustive monad-law sweeps (:func:`_exhaustive_reports`, one driver for both
-monads) run each *distinct* composed computation through the real bind once,
-on every continuation, and intern its table.  Every case a direct sweep would
-visit (each computation, Kleisli map and continuation) is still counted, and
-checked as a comparison of two table entries.  The selection and quantifier
-sweeps cover 4.2 and 4.4 million cases with about 86 and 95 thousand runs of
-composed computations.  The base-effect laws (:func:`_effect_laws`, one driver
-for the identity, trace and nondet effects) do the same one level down: each
-distinct ``bind`` runs once, its result is interned by value, and each
-associativity case compares two ids.  The trace effect's 447,600 cases take
-about 0.2 s instead of 2.1 s for a direct sweep (2-core Linux x86-64, Python
-3.11).
+Performance note: each law has one exhaustive sweep (:func:`_left_unit`,
+:func:`_right_unit`, :func:`_assoc`), shared by the identity, trace and
+nondet effects and by both monads.  It runs over :class:`_Tabulation`, which
+interns computations by a table that fixes them, tabulated in two ways.  Over
+the identity effect a monad computation on finite carriers is pure, so its
+results over every continuation fix it; a base-effect value is its own
+one-entry table.  Each *distinct* composed computation runs through the real
+bind once and is interned.  Every case a direct sweep would visit (each
+computation, Kleisli map and, for a monad, continuation) is still counted,
+and checked as a comparison of two table entries.  The selection and
+quantifier sweeps cover 4.2 and 4.4 million cases with about 86 and 95
+thousand runs of composed computations on a continuation, in about 0.4 s
+each; the three base effects take about 0.2 s, of which the trace effect's
+447,600 cases take 0.15–0.2 s against 2.5 s for a direct sweep (2-core Linux
+x86-64, Python 3.11).
 """
 from __future__ import annotations
 
@@ -137,20 +138,23 @@ def _continuations(n: int, r: int) -> list[Callable[[int], int]]:
 
 
 class _Tabulation:
-    """Computations over carrier ``range(n)`` with results in ``range(r)``,
-    interned by their table of results over every continuation.
+    """Computations over carrier ``range(n)``, interned by their tables.
 
-    Over the identity effect a computation is pure, so its table fixes it:
-    two computations with one table behave alike wherever they are used.
-    The first ``base`` entries are the enumerated computations; binds may add
-    more (a broken bind need not stay within them).
+    ``tabulate(comp)`` is a tuple of ``width`` entries that fixes how ``comp``
+    behaves wherever it is used, so two computations with one table are
+    interchangeable.  A monad computation over the identity effect is pure and
+    tabulates as its results over every continuation; a base-effect value is
+    its own one-entry table.  The first ``base`` entries are the enumerated
+    computations; binds may add more (a broken bind need not stay within them,
+    and a trace bind makes longer logs).
     """
 
     def __init__(
-        self, run: Callable[[Any, Callable[[int], int]], Any], comps: list[Any], n: int, r: int
+        self, tabulate: Callable[[Any], tuple[Any, ...]], width: int, comps: Sequence[Any], n: int
     ):
-        self.run = run
-        self.conts = _continuations(n, r)
+        self.tabulate = tabulate
+        self.width = width
+        self.n = n
         self.comps: list[Any] = []
         self.tables: list[tuple[Any, ...]] = []
         self.ids: dict[tuple[Any, ...], int] = {}
@@ -159,9 +163,8 @@ class _Tabulation:
         self.base = len(self.comps)
 
     def intern(self, comp: Any) -> int:
-        """Run ``comp`` on every continuation; the id of its table."""
-        run = self.run
-        table = tuple([run(comp, k) for k in self.conts])
+        """The id of ``comp``'s table."""
+        table = self.tabulate(comp)
         found = self.ids.get(table)
         if found is None:
             found = self.ids[table] = len(self.comps)
@@ -171,95 +174,108 @@ class _Tabulation:
 
     def kleisli(self, ids: Sequence[int]) -> Callable[[int], Any]:
         """The map ``x -> comps[ids[x]]``."""
-        return tuple(self.comps[i] for i in ids).__getitem__
+        return tuple([self.comps[i] for i in ids]).__getitem__
 
-    def compare(self, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> tuple[int, int]:
-        """Cases and failures of ``lhs[i] == rhs[i]`` on every continuation.
+    def mismatches(self, lhs: Sequence[int], rhs: Sequence[int]) -> int:
+        """Unequal entries of the tables ``lhs[i]`` and ``rhs[i]``, over every
+        ``i``.  Ids are equal exactly when tables are, so only unequal ids
+        need their entries counted one by one."""
+        tables = self.tables
+        return sum(
+            sum(map(operator.ne, tables[a], tables[b])) for a, b in zip(lhs, rhs) if a != b
+        )
 
-        Ids are equal exactly when tables are, so only unequal pairs need
-        their entries counted one by one.
-        """
-        failures = 0
-        if lhs != rhs:
-            tables = self.tables
-            for a, b in zip(lhs, rhs):
-                if a != b:
-                    failures += sum(map(operator.ne, tables[a], tables[b]))
-        return len(lhs) * len(self.conts), failures
+
+# The three laws, each swept once for a monad or a base effect (either has
+# ``unit`` and ``bind``).  A case is one (x, f), one m or one (m, f, g) on
+# one table entry, as in a direct sweep, where m ranges over the base of
+# ``tx``, and f and g over every map from ``tx``'s carrier into ``ty``'s base
+# and from ``ty``'s carrier into ``tz``'s base.  Each distinct composed
+# computation runs through the real ``bind`` once and each case compares two
+# entries of the interned tables.
+_UnitBind = Monad | EffectInstance
+
+
+def _left_unit(monad: _UnitBind, tx: _Tabulation, ty: _Tabulation) -> tuple[int, int]:
+    """``bind(unit(x), f) == f(x)``."""
+    unit, bind = monad.unit, monad.bind
+    f_maps = list(itertools.product(range(ty.base), repeat=tx.n))
+    failures = 0
+    for f_ids in f_maps:
+        f = ty.kleisli(f_ids)
+        failures += ty.mismatches([ty.intern(bind(unit(x), f)) for x in range(tx.n)], f_ids)
+    return tx.n * len(f_maps) * ty.width, failures
+
+
+def _right_unit(monad: _UnitBind, tx: _Tabulation) -> tuple[int, int]:
+    """``bind(m, unit) == m``."""
+    unit, bind = monad.unit, monad.bind
+    ids = range(tx.base)
+    lhs = [tx.intern(bind(tx.comps[i], unit)) for i in ids]
+    return tx.base * tx.width, tx.mismatches(lhs, ids)
+
+
+def _assoc(monad: _UnitBind, tx: _Tabulation, ty: _Tabulation, tz: _Tabulation) -> tuple[int, int]:
+    """``bind(bind(m, f), g) == bind(m, x -> bind(f(x), g))``."""
+    bind = monad.bind
+    ms = tx.comps[: tx.base]
+    f_maps = list(itertools.product(range(ty.base), repeat=tx.n))
+    g_maps = list(itertools.product(range(tz.base), repeat=ty.n))
+    # bind(m, f) for every f and m: the left side's inner bind.
+    inner = []
+    for f_ids in f_maps:
+        f = ty.kleisli(f_ids)
+        inner.append([ty.intern(bind(m, f)) for m in ms])
+    ys = ty.comps[:]
+    # bind(m, x -> bind(f(x), g)) depends on f and g only through the ids of
+    # the bind(f(x), g), so it is shared across them.
+    outer: dict[tuple[int, ...], tuple[int, ...]] = {}
+    failures = 0
+    for g_ids in g_maps:
+        g = tz.kleisli(g_ids)
+        then_g = [tz.intern(bind(y, g)) for y in ys]
+        for f_ids, inner_row in zip(f_maps, inner):
+            lhs = tuple([then_g[i] for i in inner_row])
+            fg = tuple([then_g[i] for i in f_ids])
+            rhs = outer.get(fg)
+            if rhs is None:
+                h = tz.kleisli(fg)
+                rhs = outer[fg] = tuple([tz.intern(bind(m, h)) for m in ms])
+            if lhs != rhs:
+                failures += tz.mismatches(lhs, rhs)
+    return len(ms) * len(f_maps) * len(g_maps) * tz.width, failures
 
 
 def _exhaustive_reports(monad: Monad, tables: Callable[[int, int], list[Any]]) -> list[LawReport]:
     """The three monad laws of ``monad`` over every carrier size up to 2.
 
     ``tables(n, r)`` enumerates every computation over ``range(n)`` with
-    results in ``range(r)``.  A case is one (unit or computation, Kleisli
-    maps, continuation) tuple, as in a direct sweep, but each distinct
-    composed computation runs through the real ``bind`` only once, on every
-    continuation, and each case compares two entries of the interned tables.
+    results in ``range(r)``; they are tabulated on every continuation, and
+    the laws run over every size of each carrier and of the results.
     """
-    unit, bind, run = monad.unit, monad.bind, monad.run
+    run = monad.run
     tabulations: dict[tuple[int, int], _Tabulation] = {}
 
     def tab(n: int, r: int) -> _Tabulation:
         if (n, r) not in tabulations:
-            tabulations[n, r] = _Tabulation(run, tables(n, r), n, r)
+            conts = _continuations(n, r)
+            tabulations[n, r] = _Tabulation(
+                lambda comp: tuple([run(comp, k) for k in conts]), len(conts), tables(n, r), n
+            )
         return tabulations[n, r]
-
-    def left_unit(nx: int, ny: int, nr: int) -> tuple[int, int]:
-        ty = tab(ny, nr)
-        cases = failures = 0
-        for f_ids in itertools.product(range(ty.base), repeat=nx):
-            f = ty.kleisli(f_ids)
-            lhs = tuple(ty.intern(bind(unit(x), f)) for x in range(nx))
-            c, fl = ty.compare(lhs, f_ids)
-            cases += c
-            failures += fl
-        return cases, failures
-
-    def right_unit(nx: int, nr: int) -> tuple[int, int]:
-        tx = tab(nx, nr)
-        ids = tuple(range(tx.base))
-        lhs = tuple(tx.intern(bind(tx.comps[i], unit)) for i in ids)
-        return tx.compare(lhs, ids)
-
-    def assoc(nx: int, ny: int, nz: int, nr: int) -> tuple[int, int]:
-        tx, ty, tz = tab(nx, nr), tab(ny, nr), tab(nz, nr)
-        xs = tx.comps[: tx.base]
-        f_maps = list(itertools.product(range(ty.base), repeat=nx))
-        # bind(eps, f) for every f and eps: the left side's inner bind.
-        inner = [tuple(ty.intern(bind(eps, ty.kleisli(f))) for eps in xs) for f in f_maps]
-        ys = ty.comps[:]
-        # bind(eps, x -> bind(f(x), g)) depends on g and f only through
-        # the ids of the bind(f(x), g), so it is shared across them.
-        outer: dict[tuple[int, ...], tuple[int, ...]] = {}
-        cases = failures = 0
-        for g_ids in itertools.product(range(tz.base), repeat=ny):
-            g = tz.kleisli(g_ids)
-            then_g = [tz.intern(bind(y, g)) for y in ys]
-            for f, inner_row in zip(f_maps, inner):
-                lhs = tuple(then_g[i] for i in inner_row)
-                fg = tuple(then_g[i] for i in f)
-                rhs = outer.get(fg)
-                if rhs is None:
-                    fg_map = tz.kleisli(fg)
-                    rhs = outer[fg] = tuple(tz.intern(bind(eps, fg_map)) for eps in xs)
-                c, fl = tz.compare(lhs, rhs)
-                cases += c
-                failures += fl
-        return cases, failures
 
     def over_sizes(law: Callable[..., tuple[int, int]], arity: int) -> tuple[int, int]:
         cases = failures = 0
-        for sizes in itertools.product(_EXHAUSTIVE_SIZES, repeat=arity):
-            c, fl = law(*sizes)
+        for *carriers, r in itertools.product(_EXHAUSTIVE_SIZES, repeat=arity):
+            c, fl = law(monad, *[tab(n, r) for n in carriers])
             cases += c
             failures += fl
         return cases, failures
 
     return [
-        LawReport(f"{monad.name} left unit (exhaustive, identity)", *over_sizes(left_unit, 3)),
-        LawReport(f"{monad.name} right unit (exhaustive, identity)", *over_sizes(right_unit, 2)),
-        LawReport(f"{monad.name} associativity (exhaustive, identity)", *over_sizes(assoc, 4)),
+        LawReport(f"{monad.name} left unit (exhaustive, identity)", *over_sizes(_left_unit, 3)),
+        LawReport(f"{monad.name} right unit (exhaustive, identity)", *over_sizes(_right_unit, 2)),
+        LawReport(f"{monad.name} associativity (exhaustive, identity)", *over_sizes(_assoc, 4)),
     ]
 
 
@@ -498,55 +514,21 @@ def _effect_laws(
     """Cases and failures of the three monad laws of ``eff``.
 
     ``values(n)`` lists the effect values over ``range(n)``.  For every
-    carrier triple in ``sizes`` the sweep takes every ``m`` in ``values(n_a)``
-    and every Kleisli map ``f``, ``g`` tabulated into ``values(n_b)`` and
-    ``values(n_c)``.  A case is one ``(a, f)``, one ``m`` or one ``(m, f, g)``,
-    as in a direct sweep.  Left and right unit run directly.  For
-    associativity each distinct bind runs once: ``bind(m, f)`` for every ``m``
-    and ``f``, ``bind(y, g)`` for every distinct ``y`` and ``g``, and
-    ``bind(m, h)`` for every distinct table ``h`` of ``bind(f(a), g)``.  Each
-    ``(f, g)`` then compares two lists of result ids over every ``m``, whose
-    entries are counted one by one only on a mismatch.
+    carrier triple ``(n_a, n_b, n_c)`` in ``sizes`` all three laws run, with
+    ``m`` over ``values(n_a)`` and the Kleisli maps ``f``, ``g`` tabulated
+    into ``values(n_b)`` and ``values(n_c)``.  The sweeps are the monads' own,
+    with each value as its own one-entry table, so a case compares two ids;
+    on the trace effect (447,600 cases at sizes up to 3) this takes about
+    0.15–0.2 s instead of 2.5 s for a direct sweep.
     """
-    bind, unit = eff.bind, eff.unit
     cases = failures = 0
     for n_a, n_b, n_c in itertools.product(sizes, repeat=3):
-        ms = values(n_a)
-        fs = list(itertools.product(values(n_b), repeat=n_a))
-        gs = list(itertools.product(values(n_c), repeat=n_b))
-        for a in range(n_a):
-            for f in fs:
-                cases += 1
-                if bind(unit(a), f.__getitem__) != f[a]:
-                    failures += 1
-        for m in ms:
-            cases += 1
-            if bind(m, unit) != m:
-                failures += 1
-
-        # Results are interned by value: equal ids mean equal values.
-        y_ids: dict[Any, int] = {}
-        z_ids: dict[Any, int] = {}
-        f_rows = [[y_ids.setdefault(y, len(y_ids)) for y in f] for f in fs]
-        inner_rows = [
-            [y_ids.setdefault(bind(m, f.__getitem__), len(y_ids)) for m in ms] for f in fs
-        ]
-        # bind(m, a -> bind(f(a), g)) depends on f and g only through the
-        # ids of the bind(f(a), g), so it is shared across them.
-        outer: dict[tuple[int, ...], list[int]] = {}
-        for g in gs:
-            zs = [bind(y, g.__getitem__) for y in y_ids]
-            then_g = [z_ids.setdefault(z, len(z_ids)) for z in zs]
-            for f_row, inner_row in zip(f_rows, inner_rows):
-                lhs = [then_g[i] for i in inner_row]
-                fg = tuple([then_g[i] for i in f_row])
-                rhs = outer.get(fg)
-                if rhs is None:
-                    h = tuple([zs[i] for i in f_row]).__getitem__
-                    rhs = outer[fg] = [z_ids.setdefault(bind(m, h), len(z_ids)) for m in ms]
-                if lhs != rhs:
-                    failures += sum(map(operator.ne, lhs, rhs))
-        cases += len(ms) * len(fs) * len(gs)
+        # Fresh per triple: a trace bind makes longer logs, and a tabulation
+        # shared across triples would bind them again and again.
+        ta, tb, tc = [_Tabulation(lambda m: (m,), 1, values(n), n) for n in (n_a, n_b, n_c)]
+        for c, fl in (_left_unit(eff, ta, tb), _right_unit(eff, ta), _assoc(eff, ta, tb, tc)):
+            cases += c
+            failures += fl
     return cases, failures
 
 

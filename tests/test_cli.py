@@ -1,6 +1,7 @@
 """Tests for the formula parser, game-file validation, and the CLI commands."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -430,6 +431,34 @@ class TestDemoCommands:
         assert main(["demo-sat", "--vars", "2", "--formula", "0&&1"]) == 2
         assert "position" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "formula, error",
+        [
+            ("²", "unexpected character '²' at position 0"),
+            ("0|1²", "unexpected character '²' at position 3"),
+            ("٢", "unexpected character '٢' at position 0"),
+            ("1" * 5000, f"variable index {'1' * 5000} out of range for arity 3 at position 0"),
+            (
+                "0&" + "9" * 4301,
+                f"variable index {'9' * 4301} out of range for arity 3 at position 2",
+            ),
+        ],
+        ids=["superscript", "superscript-after-index", "arabic-indic", "5000-ones", "4301-nines"],
+    )
+    def test_sat_demo_rejects_indices_that_are_not_small_ascii_decimals(
+        self, capsys, formula, error
+    ):
+        # str.isdigit accepts "²" and "٢", and int refuses more than 4,300
+        # digits: each used to end in a ValueError traceback or read "٢" as 2.
+        assert main(["demo-sat", "--vars", "3", "--formula", formula]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+    def test_sat_demo_reads_an_index_past_any_number_of_leading_zeros(self, capsys):
+        assert main(["demo-sat", "--vars", "3", "--formula", "0" * 5000 + "1&!0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "[False,True,True]"
+
     def test_sat_demo_rejects_nonpositive_vars(self, capsys):
         assert main(["demo-sat", "--vars", "0", "--formula", "0"]) == 2
         assert "at least 1" in capsys.readouterr().err
@@ -617,6 +646,15 @@ class TestLawsCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "suites passed" in out
+
+    def test_default_transcript_is_pinned(self, capsys):
+        # Every suite's name, case count and failure count, byte for byte, so
+        # a faster driver cannot change what the suites cover unnoticed.
+        assert main(["laws"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b44fc0ab6d8db08bb23a46d89e33ff3000adbfb38351b6dbb9c922495992334d"
+        )
 
 
 class TestUsageErrors:

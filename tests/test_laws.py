@@ -2,10 +2,12 @@
 
 The exhaustive monad-law sweeps (every chooser and continuation over
 two-point carriers) are checked with the real binds, against their case
-counts and time budget, in the acceptance module.  Here their driver, the
-randomized monad-law driver and the driver of the base-effect laws are fed
-deliberately broken binds to show that they report failures; this module
-also covers every other suite and the reporting contract.
+counts and time budget, in the acceptance module.  The same three sweeps
+check the base effects' laws; here they are compared with a direct sweep
+that interns nothing, on the base effects' real binds and on broken ones.
+Both the exhaustive and the randomized drivers are fed deliberately broken
+binds to show that they report failures; this module also covers every
+other suite and the reporting contract.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ from selcc.laws import (
     _effect_laws,
     _exhaustive_reports,
     _nondet_effect_laws,
+    _nondet_sequences,
     _randomized_monad_failures,
     _table_quantifiers,
     _table_selections,
@@ -97,6 +100,69 @@ def _walks_alternatives_in_reverse(m, f):
     for alt in reversed(m.alternatives):
         collected.extend(f(alt).alternatives)
     return NondetValue(_dedup(tuple(collected)))
+
+
+def _direct_effect_laws(eff, values, sizes):
+    """The reference for ``_effect_laws``: the same cases, swept by plain
+    loops that run every bind of every case and intern nothing."""
+    bind, unit = eff.bind, eff.unit
+    cases = failures = 0
+    for n_a, n_b, n_c in itertools.product(sizes, repeat=3):
+        ms = values(n_a)
+        fs = [f.__getitem__ for f in itertools.product(values(n_b), repeat=n_a)]
+        gs = [g.__getitem__ for g in itertools.product(values(n_c), repeat=n_b)]
+        for a in range(n_a):
+            for f in fs:
+                cases += 1
+                failures += bind(unit(a), f) != f(a)
+        for m in ms:
+            cases += 1
+            failures += bind(m, unit) != m
+        for m in ms:
+            for f in fs:
+                for g in gs:
+                    cases += 1
+                    failures += bind(bind(m, f), g) != bind(m, lambda a: bind(f(a), g))
+    return cases, failures
+
+
+def _nondet_values(n):
+    return _nondet_sequences(range(n))
+
+
+class TestEffectLawsAgreeWithADirectSweep:
+    @pytest.mark.parametrize(
+        "eff, values, sizes, expected",
+        [
+            (identity_effect(), range, (1, 2, 3), (4664, 0)),
+            (trace_effect(), _trace_values, (1, 2), (1676, 0)),
+            (nondet_effect(), _nondet_values, (1, 2), (4241, 0)),
+            (
+                EffectInstance("Trace", trace_effect().unit, _drops_the_log_of_m),
+                _trace_values, (1, 2), (1676, 12),
+            ),
+            (
+                EffectInstance("Trace", trace_effect().unit, _repeats_the_log_of_m),
+                _trace_values, (1, 2), (1676, 792),
+            ),
+            (
+                EffectInstance("Nondet", nondet_effect().unit, _walks_alternatives_in_reverse),
+                _nondet_values, (1, 2), (4241, 104),
+            ),
+            (
+                EffectInstance("Identity", identity_effect().unit, lambda m, f: f(0)),
+                range, (1, 2, 3), (4664, 183),
+            ),
+        ],
+        ids=[
+            "identity", "trace", "nondet", "trace-dropping-the-log-of-m",
+            "trace-repeating-the-log-of-m", "nondet-walking-in-reverse",
+            "identity-binding-0",
+        ],
+    )
+    def test_same_cases_and_failures(self, eff, values, sizes, expected):
+        assert _direct_effect_laws(eff, values, sizes) == expected
+        assert _effect_laws(eff, values, sizes) == expected
 
 
 class TestEffectLawsCatchBrokenBinds:
