@@ -449,7 +449,7 @@ class TestDemoCommands:
         self, capsys, formula, error
     ):
         # str.isdigit accepts "²" and "٢", and int refuses more than 4,300
-        # digits: each used to end in a ValueError traceback or read "٢" as 2.
+        # digits, so neither may decide what an index is.
         assert main(["demo-sat", "--vars", "3", "--formula", formula]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
