@@ -14,7 +14,7 @@ machine-checked evidence).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -48,7 +48,9 @@ class NondetValue(Generic[A]):
 
     ``alternatives`` never contains duplicates (structural equality); dedup
     keeps the first occurrence, so iteration order is stable and comparisons
-    against oracles are exact.
+    against oracles are exact.  Dedup takes linear time when every
+    alternative is hashable; unhashable alternatives work, but a bind that
+    meets one scans its whole output as a list, in quadratic time.
     """
 
     alternatives: tuple[A, ...]
@@ -88,7 +90,18 @@ def tell(line: str) -> TraceValue[None]:
     return TraceValue((line,), None)
 
 
-def _dedup(items: tuple[Any, ...]) -> tuple[Any, ...]:
+def _dedup(items: Sequence[Any]) -> tuple[Any, ...]:
+    """``items`` without repeats, each kept where it first occurs.
+
+    Hashable alternatives go through a dict, in linear time.  If any
+    alternative is unhashable, the whole input is scanned as a list instead,
+    which is quadratic.  Both compare with ``==`` (after identity), so ``1``,
+    ``True`` and ``1.0`` collapse to the first one seen either way.
+    """
+    try:
+        return tuple(dict.fromkeys(items))
+    except TypeError:
+        pass
     seen: list[Any] = []
     for item in items:
         if item not in seen:
@@ -104,12 +117,16 @@ def _nondet_bind(m: NondetValue[Any], f: Callable[[Any], NondetValue[Any]]) -> N
     collected: list[Any] = []
     for alt in m.alternatives:
         collected.extend(f(alt).alternatives)
-    return NondetValue(_dedup(tuple(collected)))
+    return NondetValue(_dedup(collected))
 
 
 _NONDET = EffectInstance(name="Nondet", unit=_nondet_unit, bind=_nondet_bind)
 
 
 def nondet_effect() -> EffectInstance:
-    """The finite-nondeterminism effect: map, flatten, then dedup in order."""
+    """The finite-nondeterminism effect: map, flatten, then dedup in order.
+
+    The dedup is linear in the flattened alternatives when all of them are
+    hashable, and quadratic when any is not.
+    """
     return _NONDET

@@ -641,17 +641,13 @@ class TestLawsCommand:
         assert captured.err.startswith("error:")
         assert "--samples" in captured.err
 
-    def test_full_run_on_the_real_suites_succeeds(self, capsys):
-        assert main(["laws", "--samples", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert "suites passed" in out
-
     def test_default_transcript_is_pinned(self, capsys):
         # Every suite's name, case count and failure count, byte for byte, so
         # a faster driver cannot change what the suites cover unnoticed.
         assert main(["laws"]) == 0
         out = capsys.readouterr().out
+        assert not any(line.startswith("FAIL") for line in out.splitlines())
+        assert re.fullmatch(r"(\d+)/\1 suites passed, \d+ cases total", out.splitlines()[-1])
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b44fc0ab6d8db08bb23a46d89e33ff3000adbfb38351b6dbb9c922495992334d"
         )

@@ -1,7 +1,8 @@
 """Tests for the three effect instances: identity, trace, nondeterminism."""
 from __future__ import annotations
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selcc import (
@@ -9,9 +10,12 @@ from selcc import (
     TraceValue,
     identity_effect,
     nondet_effect,
+    quant_lift,
+    run_quantifier,
     tell,
     trace_effect,
 )
+from selcc import effects
 
 
 class TestIdentityEffect:
@@ -78,6 +82,75 @@ class TestTraceEffect:
         assert nested.log == tuple(log_a) + tuple(log_b) + tuple(log_c)
 
 
+def _scan_dedup(items):
+    """The reference dedup: keep an item unless it, or an item equal to it,
+    was kept before."""
+    kept = []
+    for item in items:
+        if item not in kept:
+            kept.append(item)
+    return tuple(kept)
+
+
+class _EqualsThree:
+    """Unhashable, and equal to the int 3."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return isinstance(other, _EqualsThree) or other == 3
+
+    def __repr__(self):
+        return "_EqualsThree()"
+
+
+_NAN = float("nan")
+_EQUALS_THREE = _EqualsThree()
+
+# Mixed so that both dedup paths run: values equal across types (0, False,
+# 0.0, -0.0; 1, True, 1.0), one NaN object that equals only itself, and
+# unhashable lists and an unhashable value equal to the int 3.
+_ALTERNATIVES = st.lists(
+    st.one_of(
+        st.integers(min_value=-1, max_value=3),
+        st.booleans(),
+        st.floats(min_value=-1, max_value=3) | st.sampled_from([0.0, -0.0, 1.0, 3.0]),
+        st.tuples(st.integers(0, 1)) | st.tuples(st.integers(0, 1), st.booleans()),
+        st.text(alphabet="ab", max_size=2),
+        st.lists(st.integers(0, 1), max_size=2),
+        st.sampled_from([_NAN, _EQUALS_THREE]),
+    ),
+    max_size=8,
+)
+
+
+@given(_ALTERNATIVES)
+@example([1, True, 1.0])
+@example([3, 1, 3.0])
+@example([_NAN, 1, _NAN])
+@example([3, _EQUALS_THREE, [3], _EQUALS_THREE])
+@example([_EQUALS_THREE, 3])
+@settings(database=None)  # broken dedups fail it on purpose; save nothing
+def _assert_bind_dedups_like_a_scan(xs):
+    eff = nondet_effect()
+    got = eff.bind(NondetValue(tuple(xs)), eff.unit).alternatives
+    expected = _scan_dedup(xs)
+    # By identity: (1,) == (True,), so equality would not see which was kept.
+    assert len(got) == len(expected), (xs, got)
+    assert all(a is b for a, b in zip(got, expected)), (xs, got)
+
+
+def _keeps_the_last_occurrence(items):
+    return tuple(reversed(_scan_dedup(list(reversed(items)))))
+
+
+def _builds_a_set(items):
+    try:
+        return tuple(set(items))
+    except TypeError:
+        return _scan_dedup(items)
+
+
 class TestNondetEffect:
     def test_unit_is_singleton(self):
         assert nondet_effect().unit(5) == NondetValue((5,))
@@ -141,12 +214,54 @@ class TestNondetEffect:
         seen = list(result.alternatives)
         assert len(seen) == len(set(seen))
 
-    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=4))
-    def test_bind_with_unit_is_dedup_only(self, alternatives):
+    def test_bind_with_unit_is_dedup_only(self):
+        _assert_bind_dedups_like_a_scan()
+
+    @pytest.mark.parametrize("broken", [_keeps_the_last_occurrence, _builds_a_set])
+    def test_a_broken_dedup_is_caught(self, broken, monkeypatch):
+        monkeypatch.setattr(effects, "_dedup", broken)
+        with pytest.raises(AssertionError):
+            _assert_bind_dedups_like_a_scan()
+
+
+class _CountsEquality:
+    """A hashable alternative whose hash is its key; it counts its ``==``
+    calls in the shared one-element list ``calls``."""
+
+    __slots__ = ("key", "calls")
+
+    def __init__(self, key, calls):
+        self.key = key
+        self.calls = calls
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        self.calls[0] += 1
+        return isinstance(other, _CountsEquality) and self.key == other.key
+
+
+class TestNondetDedupIsLinear:
+    def test_distinct_hashable_alternatives_make_few_equality_calls(self):
+        # A list scan makes n(n-1)/2 calls here, about 12.5 million.
+        calls = [0]
+        alternatives = tuple(_CountsEquality(i, calls) for i in range(5_000))
         eff = nondet_effect()
-        result = eff.bind(NondetValue(tuple(alternatives)), eff.unit)
-        expected = []
-        for x in alternatives:
-            if x not in expected:
-                expected.append(x)
-        assert result.alternatives == tuple(expected)
+        result = eff.bind(NondetValue(alternatives), eff.unit)
+        assert calls[0] <= 5_000
+        assert len(result.alternatives) == 5_000
+        assert all(a is b for a, b in zip(result.alternatives, alternatives))
+
+    def test_a_big_quantifier_bind_keeps_first_occurrences(self):
+        # One input in ten maps to a shared output.
+        def k(x):
+            return NondetValue(("shared",) if x % 10 == 0 else (x,))
+
+        inputs = range(200_000)
+        result = run_quantifier(
+            quant_lift(NondetValue(tuple(inputs)), nondet_effect()), k
+        )
+        expected = tuple(dict.fromkeys(y for x in inputs for y in k(x).alternatives))
+        assert len(expected) == 180_001
+        assert result.alternatives == expected
