@@ -641,6 +641,12 @@ class TestLawsCommand:
         assert captured.err.startswith("error:")
         assert "--samples" in captured.err
 
+    def test_full_run_on_the_real_suites_succeeds(self, capsys):
+        assert main(["laws", "--samples", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "suites passed" in out
+
     def test_default_transcript_is_pinned(self, capsys):
         # Every suite's name, case count and failure count, byte for byte, so
         # a faster driver cannot change what the suites cover unnoticed.
