@@ -21,10 +21,15 @@ uses it so that its cost does not depend on the formula.
 
 A bind into a unit has no branch to run twice.  :func:`sel_map` is that
 case on its own: the functor action, with no memo and no second run.  The
-products :func:`sel_product` and :func:`sel_sequence` are built from it as in
-Escardó & Oliva's binary product of selection functions (*Selection
-functions, bar recursion and backward induction*, MSCS 2010): the inner
-selection is only mapped into the pair, and only the outer one is bound.
+binary product :func:`sel_product` is built from it as in Escardó &
+Oliva's binary product of selection functions (*Selection functions, bar
+recursion and backward induction*, MSCS 2010): the inner selection is only
+mapped into the pair, and only the outer one is bound.  The iterated
+product :func:`sel_sequence` is the fold of these binary products, run as
+one chooser that passes the chosen prefix down to the next stage; by the
+effect laws, binding a prefix-mapped value into ``k`` is binding the value
+into ``k`` after the prefix, so it equals the fold in every answer, log and
+continuation call, without a map and its bind per stage.
 
 :class:`Monad` bundles each monad's functions into one value, so code written
 once over it (the call/cc dialogue, the law drivers) serves both monads.
@@ -266,28 +271,58 @@ def sel_sequence(
 ) -> SelectionComputation[tuple[X, ...], R]:
     """The iterated product: a selection over tuples, one slot per input.
 
-    Folded to the right, so later computations are inner (they see earlier
-    choices through the continuation): each step is the binary product of
-    :func:`sel_product`, with the rest of the sequence mapped onto the
-    chosen head by :func:`sel_map`.  The empty sequence yields the unit at
-    the empty tuple; ``eff`` is only consulted in that case (otherwise the
-    computations' shared effect is used).  ``rerun`` is passed to the
-    :func:`sel_bind` of each step.
+    It is the right fold of binary products, each step ``sel_bind(c, lambda
+    x: sel_map(rest, lambda xs: (x,) + xs))``, so later computations are
+    inner: they see earlier choices through the continuation.  It runs as
+    one chooser that passes the chosen prefix down.  ``run_from(i, prefix,
+    k)`` gives the whole tuples that start with ``prefix``: the unit at
+    ``prefix`` past the last stage; otherwise stage ``i`` scores a candidate
+    ``x`` by binding ``run_from(i + 1, prefix + (x,), k)`` into ``k`` and
+    answers with the run of its choice, from a memo as in :func:`sel_bind`
+    or, under ``rerun=True``, run again.  This equals the fold because
+    ``bind(map(m, prefix +), k) == bind(m, lambda xs: k(prefix + xs))`` (for
+    nondet because ``prefix +`` is injective, so dedup commutes with it):
+    answers, logs, continuation calls and chooser runs are the same, without
+    a map and its bind per stage.
+
+    The empty sequence yields the unit at the empty tuple; ``eff`` is only
+    consulted in that case.  Otherwise every stage binds with the first
+    computation's effect, so the computations must share it: a computation
+    whose effect differs raises :class:`ValueError`.
     """
     comps = list(computations)
     if not comps:
         return sel_unit((), eff if eff is not None else identity_effect())
+    effect = comps[0].effect
+    for index, comp in enumerate(comps):
+        if comp.effect != effect:
+            raise ValueError(
+                f"computation {index} has effect {comp.effect.name!r}, "
+                f"but computation 0 has {effect.name!r}: sel_sequence needs one shared effect"
+            )
+    bind_m = effect.bind
+    unit = effect.unit
+    choosers = [comp.chooser for comp in comps]
+    last = len(comps)
 
-    def attach(
-        comp: SelectionComputation[X, R],
-        rest: SelectionComputation[tuple[X, ...], R],
-    ) -> SelectionComputation[tuple[X, ...], R]:
-        return sel_bind(comp, lambda x: sel_map(rest, lambda xs: (x,) + xs), rerun=rerun)
+    def run_from(i: int, prefix: tuple[Any, ...], k: Continuation) -> Any:
+        if i == last:
+            return unit(prefix)
+        runs: dict[int, tuple[Any, Any]] = {}
 
-    result: SelectionComputation[tuple[X, ...], R] = sel_unit((), comps[0].effect)
-    for comp in reversed(comps):
-        result = attach(comp, result)
-    return result
+        def extended(x: Any) -> Any:
+            inner = run_from(i + 1, prefix + (x,), k)
+            if not rerun:
+                runs[id(x)] = (x, inner)
+            return bind_m(inner, k)
+
+        def chosen(x: Any) -> Any:
+            run = runs.get(id(x))
+            return run[1] if run is not None else run_from(i + 1, prefix + (x,), k)
+
+        return bind_m(choosers[i](extended), chosen)
+
+    return SelectionComputation(lambda k: run_from(0, (), k), effect)
 
 
 def run_selection(eps: SelectionComputation[X, R], k: Continuation) -> Any:

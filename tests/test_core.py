@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -265,6 +266,11 @@ class TestSelSequence:
         for table in itertools.product((False, True), repeat=8):
             k = lambda b, t=table: t[b[0] * 4 + b[1] * 2 + b[2]]
             assert run_selection(sel_sequence(probes), k) == run_selection(nested, k)
+
+    def test_mixed_effects_are_rejected(self):
+        computations = [sel_unit(1), sel_unit(2), sel_unit(3, trace_effect()), sel_unit(4)]
+        with pytest.raises(ValueError, match="computation 2 has effect 'Trace'"):
+            sel_sequence(computations)
 
 
 class TestRunners:

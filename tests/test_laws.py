@@ -12,6 +12,7 @@ other suite and the reporting contract.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -30,6 +31,7 @@ from selcc import (
     sel_bind,
     sel_map,
     sel_product,
+    sel_sequence,
     sel_unit,
     sum_equilibria_report,
 )
@@ -407,6 +409,132 @@ class TestSelMapFunctorLaws:
         # Pairs of selections times continuations on pairs: 1 + 2 + 4 + 4,096.
         assert (cases, failures) == (4103, 0)
 
+
+# ---------------------------------------------------------------------------
+# sel_sequence against the iterated product as a fold of binary products,
+# the reference it is an optimisation of.
+# ---------------------------------------------------------------------------
+
+
+def _fold_sequence(comps, rerun):
+    """The iterated product as the right fold of binary products: each step
+    binds its head and maps the rest of the product onto it."""
+    result = sel_unit((), comps[0].effect)
+    for comp in reversed(comps):
+        result = sel_bind(
+            comp, lambda x, rest=result: sel_map(rest, lambda xs: (x,) + xs), rerun=rerun
+        )
+    return result
+
+
+def _broken_sequence(fault):
+    """A prefix-passing product with one fault: ``"reversed prefix"`` puts
+    each choice in front of the prefix, and ``"first run"`` answers every
+    stage with the run of the first candidate it scored."""
+
+    def sequence(comps, rerun):
+        eff = comps[0].effect
+
+        def run_from(i, prefix, k):
+            if i == len(comps):
+                return eff.unit(prefix)
+            runs = {}
+
+            def grow(x):
+                return (x,) + prefix if fault == "reversed prefix" else prefix + (x,)
+
+            def extended(x):
+                inner = run_from(i + 1, grow(x), k)
+                if not rerun:
+                    runs[id(x)] = (x, inner)
+                return eff.bind(inner, k)
+
+            def chosen(x):
+                run = runs.get(next(iter(runs), None) if fault == "first run" else id(x))
+                return run[1] if run is not None else run_from(i + 1, grow(x), k)
+
+            return eff.bind(comps[i].chooser(extended), chosen)
+
+        return SelectionComputation(lambda k: run_from(0, (), k), eff)
+
+    return sequence
+
+
+def _sequence_cases(effect):
+    """``(computations, continuation on tuples)`` for sequences of one to
+    three table selections at carrier sizes up to 2: every sequence with
+    every continuation where that makes at most 64 pairs, and otherwise 64
+    pairs drawn with a fixed seed (at n = r = 2 with two or three stages,
+    of 4,096 and 1,048,576)."""
+    rng = random.Random(0)
+    for n, r, selections in _carriers(effect):
+        for length in (1, 2, 3):
+            points = list(itertools.product(range(n), repeat=length))
+            tables = list(itertools.product(range(r), repeat=len(points)))
+            sequences = list(itertools.product(selections, repeat=length))
+            if len(sequences) * len(tables) <= 64:
+                pairs = itertools.product(sequences, tables)
+            else:
+                pairs = [(rng.choice(sequences), rng.choice(tables)) for _ in range(64)]
+            for comps, table in pairs:
+                yield comps, dict(zip(points, table)).__getitem__
+
+
+def _observe(sequence, comps, k, rerun):
+    """The result of ``sequence(comps, rerun)`` under ``k``, with the
+    arguments of each continuation call in order and each stage's chooser
+    runs."""
+    calls, runs = [], [0] * len(comps)
+
+    def counted(i, comp):
+        def chooser(k):
+            runs[i] += 1
+            return comp.chooser(k)
+
+        return SelectionComputation(chooser, comp.effect)
+
+    def counted_k(xs):
+        calls.append(xs)
+        return k(xs)
+
+    stages = [counted(i, comp) for i, comp in enumerate(comps)]
+    return run_selection(sequence(stages, rerun), counted_k), calls, runs
+
+
+def _sequence_failures(effect, sequence):
+    """(cases, failures) of ``sequence`` against the fold, each case run
+    with the memo and with ``rerun=True``."""
+    wrap_k = _EFFECTS[effect][1]
+    cases = failures = 0
+    for comps, c in _sequence_cases(effect):
+        k = wrap_k(c)
+        for rerun in (False, True):
+            cases += 1
+            failures += _observe(sequence, comps, k, rerun) != _observe(
+                _fold_sequence, comps, k, rerun
+            )
+    return cases, failures
+
+
+class TestSelSequenceEqualsTheFold:
+    # Per effect, pairs of sequences and continuations: (1 + 2 + 2 + 64)
+    # with one stage, (1 + 2 + 4 + 64) with two and (1 + 2 + 8 + 64) with
+    # three, each run with the memo and with rerun=True.
+    CASES = 430
+
+    @pytest.mark.parametrize("effect", sorted(_EFFECTS))
+    def test_sel_sequence_equals_the_fold(self, effect):
+        sequence = lambda comps, rerun: sel_sequence(comps, rerun=rerun)
+        assert _sequence_failures(effect, sequence) == (self.CASES, 0)
+
+    # A reversed prefix fails every case of two or more stages except the 12
+    # at n = 1, where the tuple reads the same both ways.  The first run is
+    # wrong only with the memo, and only where the chooser picks another
+    # candidate than the one it scored first.
+    @pytest.mark.parametrize("effect", sorted(_EFFECTS))
+    @pytest.mark.parametrize("fault, failures", [("reversed prefix", 280), ("first run", 155)])
+    def test_a_broken_sequence_fails(self, fault, failures, effect):
+        assert _sequence_failures(effect, _broken_sequence(fault)) == (self.CASES, failures)
 
 class TestMorphismLaws:
     def test_structure_is_preserved(self):
