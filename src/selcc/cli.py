@@ -49,10 +49,10 @@ class GameFileError(ValueError):
 
 
 # The deepest sequential game ``solve`` accepts.  Backward induction nests
-# about six Python frames per stage at the payoff call and seven on its
-# deepest path, so 100 stages stay inside the default recursion limit of 1000
-# (measured on single-move games: 142 stages still solve in-process, 143 do
-# not; under pytest, 136 and 137).
+# four Python frames per stage at the payoff call, and five levels of the
+# recursion limit with the argmax player's ``max``, so 100 stages stay inside
+# the default limit of 1000 (measured on single-move games: 198 stages still
+# solve in-process, 199 do not; under pytest, 190 and 191).
 MAX_SEQUENTIAL_STAGES = 100
 
 # The most variables ``demo-sat`` accepts, the same arity limit as

@@ -529,12 +529,13 @@ class TestSelSequenceEqualsTheFold:
 
     # A reversed prefix fails every case of two or more stages except the 12
     # at n = 1, where the tuple reads the same both ways.  The first run is
-    # wrong only with the memo, and only where the chooser picks another
-    # candidate than the one it scored first.
+    # wrong only with the memo, and only where the chooser picks a candidate
+    # other than the one it scored first.
     @pytest.mark.parametrize("effect", sorted(_EFFECTS))
     @pytest.mark.parametrize("fault, failures", [("reversed prefix", 280), ("first run", 155)])
     def test_a_broken_sequence_fails(self, fault, failures, effect):
         assert _sequence_failures(effect, _broken_sequence(fault)) == (self.CASES, failures)
+
 
 class TestMorphismLaws:
     def test_structure_is_preserved(self):
