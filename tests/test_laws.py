@@ -47,11 +47,13 @@ from selcc.effects import (
 )
 from selcc.laws import (
     _continuations,
+    _digest,
     _effect_laws,
     _exhaustive_reports,
     _nondet_effect_laws,
     _nondet_sequences,
     _randomized_monad_failures,
+    _table_fn,
     _table_quantifiers,
     _table_selections,
     _trace_values,
@@ -238,6 +240,40 @@ class TestExhaustiveMonadLawsCatchBrokenBinds:
         ]
 
 
+class TestExhaustiveMonadSweepsBindOncePerMonad:
+    # Real bind and run calls of one exhaustive sweep, with every other case
+    # a table look-up.  Each distinct (computation, Kleisli map) pair is
+    # bound once per monad, across all carrier sizes; runs are the
+    # tabulations of the enumerated and the bound computations.
+    @pytest.mark.parametrize(
+        "monad, tables, binds, runs",
+        [
+            (SELECTION, _table_selections, 4706, 18764),
+            (QUANTIFIER, _table_quantifiers, 5028, 19526),
+        ],
+        ids=["selection", "quantifier"],
+    )
+    def test_real_binds_and_runs(self, monad, tables, binds, runs):
+        calls = {"bind": 0, "run": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        counted = monad._replace(bind=counting("bind", monad.bind), run=counting("run", monad.run))
+        assert _exhaustive_reports(counted, tables) == _exhaustive_reports(monad, tables)
+        assert calls == {"bind": binds, "run": runs}
+
+
+class TestTableComputations:
+    def test_only_carriers_of_one_and_two_points_are_enumerated(self):
+        with pytest.raises(ValueError, match="not 3$"):
+            _table_fn((0,) * 8, 3, 2)
+
+
 def _drops_the_second_pass(eps, f):
     """A broken ``sel_bind`` over the trace effect: the chosen ``x`` still
     runs through ``f`` a second time, but that run's log is dropped."""
@@ -273,6 +309,73 @@ class TestRandomizedMonadLawsCatchBrokenBinds:
             _randomized_monad_failures(broken, trace_effect(), law, seed, 1000)
             for law in ("left unit", "right unit", "associativity")
         ] == expected
+
+
+def _reference_digest(value):
+    """The digest as a chain of ``isinstance`` checks, recursing with no memo."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return value % 9973
+    if isinstance(value, str):
+        return sum(ord(c) for c in value) % 9973
+    if isinstance(value, tuple):
+        total = 0
+        for i, item in enumerate(value):
+            total = (total * 31 + (i + 1) * _reference_digest(item)) % 9973
+        return total
+    if isinstance(value, TraceValue):
+        return (_reference_digest(value.log) * 5 + _reference_digest(value.value)
+                + len(value.log)) % 9973
+    if isinstance(value, NondetValue):
+        return (_reference_digest(value.alternatives) * 7 + len(value.alternatives)) % 9973
+    raise TypeError(f"no digest for {type(value).__name__}")
+
+
+def _random_digestible(rng, depth=0):
+    kind = rng.randrange(7 if depth < 3 else 3)
+    if kind == 0:
+        return rng.random() < 0.5
+    if kind == 1:
+        return rng.choice((0, 1, -1, -9974, 9972, 9973, 9974, 10**12 + 7, -(10**12)))
+    if kind == 2:
+        return "".join(rng.choice("ab\u00e9\u2603") for _ in range(rng.randrange(4)))
+    if kind == 3:
+        return tuple(_random_digestible(rng, depth + 1) for _ in range(rng.randrange(4)))
+    if kind == 4:
+        log = tuple(f"t{rng.randrange(4)}" for _ in range(rng.randrange(3)))
+        return TraceValue(log, _random_digestible(rng, depth + 1))
+    if kind == 5:
+        return NondetValue(tuple(_random_digestible(rng, depth + 1) for _ in range(rng.randrange(4))))
+    return rng.randrange(-20000, 20000)
+
+
+class TestDigest:
+    def test_equals_the_reference(self):
+        rng = random.Random("digest")
+        memo = {}
+        values = [_random_digestible(rng) for _ in range(3000)]
+        for value in values + values:  # the second pass reads the memo
+            assert _digest(value, memo) == _reference_digest(value), value
+
+    def test_subclasses_digest_as_their_first_base_in_the_chain(self):
+        class Count(int):
+            pass
+
+        class Pair(tuple):
+            pass
+
+        for value in (Count(10_000), Pair((1, "a")), (Count(3), Pair(()))):
+            assert _digest(value, {}) == _reference_digest(value)
+
+    @pytest.mark.parametrize("bad", [1.5, [1], None], ids=["float", "list", "None"])
+    def test_rejects_what_the_reference_rejects(self, bad):
+        for value in (bad, (1, bad), TraceValue(("a",), bad), TraceValue(("a", bad), 0),
+                      NondetValue((0, bad))):
+            with pytest.raises(TypeError):
+                _reference_digest(value)
+            with pytest.raises(TypeError):
+                _digest(value, {})
 
 
 # ---------------------------------------------------------------------------
