@@ -114,7 +114,7 @@ def _table_fn(table: tuple[int, ...], n: int, r: int) -> Callable[[Callable[[int
         def fn(k: Callable[[int], int]) -> int:
             return table[k(0) * r + k(1)]
     else:
-        raise ValueError(f"table computations are enumerated for carriers of size 1 and 2, not {n}")
+        raise ValueError(f"table computations need a carrier of size 1 or 2, not {n}")
     return fn
 
 
@@ -179,7 +179,11 @@ class _Tabulation:
         return tuple([self.comps[i] for i in ids]).__getitem__
 
     def bind_row(
-        self, bind: Callable[[Any, Any], Any], target: _Tabulation, count: int, f_ids: tuple[int, ...]
+        self,
+        bind: Callable[[Any, Any], Any],
+        target: _Tabulation,
+        count: int,
+        f_ids: tuple[int, ...],
     ) -> tuple[int, ...]:
         """The ids in ``target`` of ``bind(comps[i], target.kleisli(f_ids))``
         for every ``i < count``, bound once and kept for later calls."""
@@ -438,7 +442,9 @@ def _random_nondet_quantifier(
 
     def runner(k: Callable[[int], NondetValue]) -> NondetValue:
         results = [k(x) for x in points]
-        total = (offset + sum(c * _digest(res, memo) for c, res in zip(coefficients, results))) % 9973
+        total = (
+            offset + sum(c * _digest(res, memo) for c, res in zip(coefficients, results))
+        ) % 9973
         own = [v for i, v in enumerate(values) if (total + i) % keep_mod != 0]
         merged: list[int] = []
         if merge_probe < len(points):

@@ -346,7 +346,8 @@ def _random_digestible(rng, depth=0):
         log = tuple(f"t{rng.randrange(4)}" for _ in range(rng.randrange(3)))
         return TraceValue(log, _random_digestible(rng, depth + 1))
     if kind == 5:
-        return NondetValue(tuple(_random_digestible(rng, depth + 1) for _ in range(rng.randrange(4))))
+        alternatives = [_random_digestible(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return NondetValue(tuple(alternatives))
     return rng.randrange(-20000, 20000)
 
 
