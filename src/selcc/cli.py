@@ -49,10 +49,11 @@ class GameFileError(ValueError):
 
 
 # The deepest sequential game ``solve`` accepts.  Backward induction nests
-# four Python frames per stage at the payoff call, and five levels of the
-# recursion limit with the argmax player's ``max``, so 100 stages stay inside
-# the default limit of 1000 (measured on single-move games: 198 stages still
-# solve in-process, 199 do not; under pytest, 190 and 191).
+# three Python frames per stage at the payoff call (``sel_sequence``'s
+# ``run_from``, the argmax player's chooser and its scoring continuation), so
+# 100 stages stay inside the default recursion limit of 1000 (measured on
+# single-move games with Python 3.11: 330 stages still solve in-process, 331
+# do not; under pytest, 317 and 318).
 MAX_SEQUENTIAL_STAGES = 100
 
 # The most variables ``demo-sat`` accepts, the same arity limit as

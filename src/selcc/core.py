@@ -12,10 +12,12 @@ selections search, and is the source of every interesting behaviour in
 
 The paper's selection bind runs the chosen branch twice: once to score it and
 once more to produce the result.  :func:`sel_bind` serves the second run from
-a memo scoped to one chooser call, so every branch that is scored runs once
-per call.  The result is the same value the second run would return, so
-traces and answers are unchanged; only the evaluation counts drop (a binary
-n-stage game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
+a memo scoped to one chooser call, so a chosen branch that was scored is not
+run again.  The memo serves only that second run: scoring is not memoised,
+so a chooser that scores the same candidate twice runs its branch twice.
+The result is the same value the second run would return, so traces and
+answers are unchanged; only the evaluation counts drop (a binary n-stage
+game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
 ``rerun=True`` keeps the paper's second run; :func:`selcc.search.sat_product`
 uses it so that its cost does not depend on the formula.
 
@@ -275,11 +277,12 @@ def sel_sequence(
     x: sel_map(rest, lambda xs: (x,) + xs))``, so later computations are
     inner: they see earlier choices through the continuation.  It runs as
     one chooser that passes the chosen prefix down.  ``run_from(i, prefix,
-    k)`` gives the whole tuples that start with ``prefix``: the unit at
-    ``prefix`` past the last stage; otherwise stage ``i`` scores a candidate
-    ``x`` by binding ``run_from(i + 1, prefix + (x,), k)`` into ``k`` and
-    answers with the run of its choice, from a memo as in :func:`sel_bind`
-    or, under ``rerun=True``, run again.  This equals the fold because
+    k)`` gives the whole tuples that start with ``prefix``: stage ``i``
+    scores a candidate ``x`` by binding ``run_from(i + 1, prefix + (x,),
+    k)`` into ``k`` and answers with the run of its choice, from a memo as
+    in :func:`sel_bind` or, under ``rerun=True``, run again.  At the last
+    stage that run is the unit at ``prefix + (x,)``, built in place, with no
+    memo.  This equals the fold because
     ``bind(map(m, prefix +), k) == bind(m, lambda xs: k(prefix + xs))`` (for
     nondet because ``prefix +`` is injective, so dedup commutes with it):
     answers, logs, continuation calls and chooser runs are the same, without
@@ -303,22 +306,36 @@ def sel_sequence(
     bind_m = effect.bind
     unit = effect.unit
     choosers = [comp.chooser for comp in comps]
-    last = len(comps)
+    final = len(comps) - 1
 
     def run_from(i: int, prefix: tuple[Any, ...], k: Continuation) -> Any:
-        if i == last:
-            return unit(prefix)
-        runs: dict[int, tuple[Any, Any]] = {}
+        if i == final:
 
-        def extended(x: Any) -> Any:
-            inner = run_from(i + 1, prefix + (x,), k)
-            if not rerun:
+            def chosen(x: Any) -> Any:
+                return unit(prefix + (x,))
+
+            def extended(x: Any) -> Any:
+                return bind_m(unit(prefix + (x,)), k)
+
+        elif rerun:
+
+            def chosen(x: Any) -> Any:
+                return run_from(i + 1, prefix + (x,), k)
+
+            def extended(x: Any) -> Any:
+                return bind_m(run_from(i + 1, prefix + (x,), k), k)
+
+        else:
+            runs: dict[int, tuple[Any, Any]] = {}
+
+            def extended(x: Any) -> Any:
+                inner = run_from(i + 1, prefix + (x,), k)
                 runs[id(x)] = (x, inner)
-            return bind_m(inner, k)
+                return bind_m(inner, k)
 
-        def chosen(x: Any) -> Any:
-            run = runs.get(id(x))
-            return run[1] if run is not None else run_from(i + 1, prefix + (x,), k)
+            def chosen(x: Any) -> Any:
+                run = runs.get(id(x))
+                return run[1] if run is not None else run_from(i + 1, prefix + (x,), k)
 
         return bind_m(choosers[i](extended), chosen)
 

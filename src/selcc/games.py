@@ -114,11 +114,20 @@ def argmax_selection(
     if not elements:
         raise ValueError("argmax_selection requires a nonempty domain")
     eff = eff if eff is not None else identity_effect()
+    unit = eff.unit
+    first, rest = elements[0], elements[1:]
 
+    # One loop rather than ``max(elements, key=...)``: a projecting key would
+    # need a lambda frame per candidate.  ``>`` keeps the first maximiser, as
+    # ``max`` does.
     def chooser(k: Callable[[X], Any]) -> Any:
-        if key is None:
-            return eff.unit(max(elements, key=k))
-        return eff.unit(max(elements, key=lambda x: key(k(x))))
+        best = first
+        best_score = k(first) if key is None else key(k(first))
+        for x in rest:
+            score = k(x) if key is None else key(k(x))
+            if score > best_score:
+                best, best_score = x, score
+        return unit(best)
 
     return SelectionComputation(chooser, eff)
 
@@ -152,7 +161,7 @@ def nondet_argmax_selection(
         for x in elements:
             alternatives = k(x).alternatives
             if alternatives:
-                scored.append((x, max(project(v) for v in alternatives)))
+                scored.append((x, max(map(project, alternatives))))
         if not scored:
             return NondetValue(())
         best = max(score for _, score in scored)

@@ -19,6 +19,7 @@ from selcc import (
     LawReport,
     SequentialGameSpec,
     SimultaneousGameSpec,
+    Stage,
     backward_induction,
     backward_induction_oracle,
     format_assignment,
@@ -609,6 +610,16 @@ class TestSolveCommand:
         path.write_text(json.dumps(_single_move_doc(200)))
         assert main(["solve", str(path)]) == 2
         assert "200 stages; the limit is 100" in capsys.readouterr().err
+
+    def test_backward_induction_has_headroom_above_the_stage_limit(self):
+        # Twice the limit still solves under pytest, so a change that adds
+        # frames per stage fails here before the limit itself can hit the
+        # recursion limit.
+        n = 2 * MAX_SEQUENTIAL_STAGES
+        game = SequentialGameSpec(
+            ("P",), (Stage(0, ("x",)),) * n, {("x",) * n: (7,)}.__getitem__
+        )
+        assert backward_induction(game) == (("x",) * n, (7,))
 
 
 class TestLawsCommand:

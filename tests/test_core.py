@@ -151,6 +151,21 @@ class TestSelBindRunsEachBranchOnce:
         assert run_selection(sel_bind(eps, f, rerun=True), lambda b: b) is True
         assert runs == [True, True]
 
+    @pytest.mark.parametrize("rerun, expected", [(False, [1, 1]), (True, [1, 1, 1])])
+    def test_scoring_a_candidate_twice_runs_its_branch_twice(self, rerun, expected):
+        # The memo serves only the chosen branch's second run: each scoring
+        # call runs the branch again.
+        f, runs = self._counting_family()
+
+        def chooser(k):
+            k(1)
+            k(1)
+            return 1
+
+        eps = SelectionComputation(chooser, _ID)
+        assert run_selection(sel_bind(eps, f, rerun=rerun), lambda b: b) == 1
+        assert runs == expected
+
     def test_the_memo_is_keyed_by_identity_not_equality(self):
         # 1 == True, but f tells them apart; an equality-keyed memo would
         # hand back the run for 1 and answer "int".

@@ -16,6 +16,7 @@ from selcc import (
     backward_induction,
     backward_induction_oracle,
     fix_selection,
+    identity_effect,
     max_quantifier,
     nash_oracle,
     nondet_argmax_selection,
@@ -24,6 +25,7 @@ from selcc import (
     run_quantifier,
     run_selection,
     sum_selections,
+    trace_effect,
 )
 
 _SCORES = (-2, -1, 0, 1, 2)
@@ -158,6 +160,145 @@ class TestNondetArgmax:
             ValueError, match="^nondet_argmax_selection domain repeats element 'a'$"
         ):
             nondet_argmax_selection(["a", "b", "a"])
+
+
+def _reference_argmax(domain, eff=None, key=None):
+    """The argmax player as written with ``max``: the reference for the
+    one-loop chooser."""
+    elements = tuple(domain)
+    eff = eff if eff is not None else identity_effect()
+
+    def chooser(k):
+        if key is None:
+            return eff.unit(max(elements, key=k))
+        return eff.unit(max(elements, key=lambda x: key(k(x))))
+
+    return SelectionComputation(chooser, eff)
+
+
+def _last_maximiser_argmax(domain, eff=None, key=None):
+    """A broken argmax player: same calls, but ties go to the last maximiser."""
+    elements = tuple(domain)
+    eff = eff if eff is not None else identity_effect()
+
+    def chooser(k):
+        scores = [k(x) if key is None else key(k(x)) for x in elements]
+        return eff.unit(elements[len(scores) - 1 - scores[::-1].index(max(scores))])
+
+    return SelectionComputation(chooser, eff)
+
+
+def _reference_nondet_argmax(domain, key=None):
+    """The nondet argmax player as written with a generator per element:
+    the reference for the ``map`` scoring."""
+    elements = tuple(domain)
+    project = key if key is not None else (lambda value: value)
+
+    def chooser(k):
+        scored = []
+        for x in elements:
+            alternatives = k(x).alternatives
+            if alternatives:
+                scored.append((x, max(project(v) for v in alternatives)))
+        if not scored:
+            return NondetValue(())
+        best = max(score for _, score in scored)
+        return NondetValue(tuple(x for x, score in scored if score == best))
+
+    return SelectionComputation(chooser, nondet_effect())
+
+
+def _empty_scoring_nondet_argmax(domain, key=None):
+    """A broken nondet argmax player: an empty result scores 0 instead of
+    excluding its element."""
+    elements = tuple(domain)
+    project = key if key is not None else (lambda value: value)
+
+    def chooser(k):
+        scores = [max(map(project, k(x).alternatives), default=0) for x in elements]
+        best = max(scores)
+        return NondetValue(tuple(x for x, score in zip(elements, scores) if score == best))
+
+    return SelectionComputation(chooser, nondet_effect())
+
+
+def _observe_chooser(selection, table):
+    """The chooser's answer under ``table`` as the continuation, and the
+    argument of each continuation call in order."""
+    calls = []
+
+    def k(x):
+        calls.append(x)
+        return table[x]
+
+    return selection.chooser(k), calls
+
+
+def _first(utilities):
+    return utilities[0]
+
+
+def _argmax_mismatches(argmax) -> tuple[int, int]:
+    """(cases, mismatches) of ``argmax`` against :func:`_reference_argmax`,
+    answers and continuation calls both, over seeded score tables with
+    frequent ties on one to six moves: identity and trace effects, with
+    integer scores and ``key=None`` and with tuples under a projecting key."""
+    rng = random.Random(14)
+    cases = mismatches = 0
+    for eff, key in itertools.product((identity_effect(), trace_effect()), (None, _first)):
+        for m in range(1, 7):
+            moves = tuple(f"m{i}" for i in range(m))
+            for _ in range(20):
+                table = {x: rng.randint(0, 2) for x in moves}
+                if key is not None:
+                    table = {x: (score, rng.randint(0, 9)) for x, score in table.items()}
+                cases += 1
+                mismatches += _observe_chooser(argmax(moves, eff, key), table) != (
+                    _observe_chooser(_reference_argmax(moves, eff, key), table)
+                )
+    return cases, mismatches
+
+
+def _nondet_argmax_mismatches(argmax) -> tuple[int, int]:
+    """(cases, mismatches) of ``argmax`` against
+    :func:`_reference_nondet_argmax`, answers and continuation calls both,
+    over seeded tables of zero to three alternatives per move (so ties,
+    empty results and all-empty tables all occur) on one to six moves, with
+    integer alternatives and ``key=None`` and with tuples under a
+    projecting key."""
+    rng = random.Random(14)
+    cases = mismatches = 0
+    for key in (None, _first):
+        for m in range(1, 7):
+            moves = tuple(f"m{i}" for i in range(m))
+            for _ in range(20):
+                table = {x: rng.sample(range(3), rng.randint(0, 3)) for x in moves}
+                if key is not None:
+                    table = {x: [(v, rng.randint(0, 9)) for v in vs] for x, vs in table.items()}
+                table = {x: NondetValue(tuple(vs)) for x, vs in table.items()}
+                cases += 1
+                mismatches += _observe_chooser(argmax(moves, key), table) != (
+                    _observe_chooser(_reference_nondet_argmax(moves, key), table)
+                )
+    return cases, mismatches
+
+
+class TestArgmaxAgainstReference:
+    def test_argmax_equals_the_max_reference(self):
+        assert _argmax_mismatches(argmax_selection) == (480, 0)
+
+    def test_the_check_catches_ties_to_the_last_maximiser(self):
+        cases, mismatches = _argmax_mismatches(_last_maximiser_argmax)
+        assert cases == 480
+        assert mismatches > 0
+
+    def test_nondet_argmax_equals_the_generator_reference(self):
+        assert _nondet_argmax_mismatches(nondet_argmax_selection) == (240, 0)
+
+    def test_the_check_catches_scored_empty_results(self):
+        cases, mismatches = _nondet_argmax_mismatches(_empty_scoring_nondet_argmax)
+        assert cases == 240
+        assert mismatches > 0
 
 
 class TestVotingAgents:
