@@ -31,7 +31,9 @@ product :func:`sel_sequence` is the fold of these binary products, run as
 one chooser that passes the chosen prefix down to the next stage; by the
 effect laws, binding a prefix-mapped value into ``k`` is binding the value
 into ``k`` after the prefix, so it equals the fold in every answer, log and
-continuation call, without a map and its bind per stage.
+continuation call, without a map and its bind per stage.  Its last stage
+scores a candidate by calling ``k`` directly, by the left-unit law, with
+:func:`sel_map`'s nondet caveat.
 
 :class:`Monad` bundles each monad's functions into one value, so code written
 once over it (the call/cc dialogue, the law drivers) serves both monads.
@@ -282,7 +284,9 @@ def sel_sequence(
     k)`` into ``k`` and answers with the run of its choice, from a memo as
     in :func:`sel_bind` or, under ``rerun=True``, run again.  At the last
     stage that run is the unit at ``prefix + (x,)``, built in place, with no
-    memo.  This equals the fold because
+    memo, and a candidate is scored as ``k(prefix + (x,))``: by the left-unit
+    law that is binding the unit into ``k``, for nondet on duplicate-free
+    results of ``k``, as in :func:`sel_map`.  This equals the fold because
     ``bind(map(m, prefix +), k) == bind(m, lambda xs: k(prefix + xs))`` (for
     nondet because ``prefix +`` is injective, so dedup commutes with it):
     answers, logs, continuation calls and chooser runs are the same, without
@@ -315,7 +319,7 @@ def sel_sequence(
                 return unit(prefix + (x,))
 
             def extended(x: Any) -> Any:
-                return bind_m(unit(prefix + (x,)), k)
+                return k(prefix + (x,))
 
         elif rerun:
 

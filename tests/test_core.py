@@ -8,11 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selcc import (
+    EffectInstance,
+    NondetValue,
     QuantifierComputation,
     SelectionComputation,
     TraceValue,
     identity_effect,
     invoke_coercion,
+    nondet_argmax_selection,
+    nondet_effect,
     quant_bind,
     quant_unit,
     run_quantifier,
@@ -286,6 +290,41 @@ class TestSelSequence:
         computations = [sel_unit(1), sel_unit(2), sel_unit(3, trace_effect()), sel_unit(4)]
         with pytest.raises(ValueError, match="computation 2 has effect 'Trace'"):
             sel_sequence(computations)
+
+    # All-tie games keep every move, so every branch is scored and chosen.
+    # With the memo, (m^n - 1)/(m - 1) stage runs make one bind each, the
+    # candidates scored at inner stages one fewer, and the m^n scored leaves
+    # call k with no bind; rerun=True runs each chosen branch again.  The
+    # continuation calls are those that binding a unit into k made.
+    @pytest.mark.parametrize(
+        "stages, moves, rerun, binds, calls",
+        [
+            (4, 4, False, 169, 1024),
+            (6, 2, False, 125, 384),
+            (4, 4, True, 877, 3840),
+            (6, 2, True, 2047, 4032),
+        ],
+    )
+    def test_effect_binds_on_all_tie_games(self, stages, moves, rerun, binds, calls):
+        base = nondet_effect()
+        counts = {"binds": 0, "calls": 0}
+
+        def bind(m, f):
+            counts["binds"] += 1
+            return base.bind(m, f)
+
+        def k(xs):
+            counts["calls"] += 1
+            return NondetValue((0,))
+
+        eff = EffectInstance(base.name, base.unit, bind)
+        players = [
+            SelectionComputation(nondet_argmax_selection(range(moves)).chooser, eff)
+            for _ in range(stages)
+        ]
+        chosen = run_selection(sel_sequence(players, rerun=rerun), k)
+        assert chosen.alternatives == tuple(itertools.product(range(moves), repeat=stages))
+        assert counts == {"binds": binds, "calls": calls}
 
 
 class TestRunners:

@@ -6,8 +6,10 @@ counts and time budget, in the acceptance module.  The same three sweeps
 check the base effects' laws; here they are compared with a direct sweep
 that interns nothing, on the base effects' real binds and on broken ones.
 Both the exhaustive and the randomized drivers are fed deliberately broken
-binds to show that they report failures; this module also covers every
-other suite and the reporting contract.
+binds to show that they report failures, and the morphism and equilibrium
+suites a broken ``to_quantifier`` and ``sum_selections``, patched into the
+names ``selcc.laws`` calls; this module also covers every other suite and
+the reporting contract.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from selcc import (
     sel_unit,
     sum_equilibria_report,
 )
+from selcc import laws
 from selcc.core import QUANTIFIER, SELECTION
 from selcc.effects import (
     EffectInstance,
@@ -533,8 +536,10 @@ def _fold_sequence(comps, rerun):
 
 def _broken_sequence(fault):
     """A prefix-passing product with one fault: ``"reversed prefix"`` puts
-    each choice in front of the prefix, and ``"first run"`` answers every
-    stage with the run of the first candidate it scored."""
+    each choice in front of the prefix, ``"first run"`` answers every stage
+    with the run of the first candidate it scored, and ``"last stage first
+    candidate"`` answers the last stage with the unit at the first candidate
+    it scored, with the memo and under ``rerun=True``."""
 
     def sequence(comps, rerun):
         eff = comps[0].effect
@@ -542,18 +547,21 @@ def _broken_sequence(fault):
         def run_from(i, prefix, k):
             if i == len(comps):
                 return eff.unit(prefix)
-            runs = {}
+            runs, scored = {}, []
 
             def grow(x):
                 return (x,) + prefix if fault == "reversed prefix" else prefix + (x,)
 
             def extended(x):
                 inner = run_from(i + 1, grow(x), k)
+                scored.append(x)
                 if not rerun:
                     runs[id(x)] = (x, inner)
                 return eff.bind(inner, k)
 
             def chosen(x):
+                if fault == "last stage first candidate" and i == len(comps) - 1:
+                    x = scored[0]
                 run = runs.get(next(iter(runs), None) if fault == "first run" else id(x))
                 return run[1] if run is not None else run_from(i + 1, grow(x), k)
 
@@ -634,11 +642,69 @@ class TestSelSequenceEqualsTheFold:
     # A reversed prefix fails every case of two or more stages except the 12
     # at n = 1, where the tuple reads the same both ways.  The first run is
     # wrong only with the memo, and only where the chooser picks a candidate
-    # other than the one it scored first.
+    # other than the one it scored first.  The last stage's first candidate
+    # is wrong where the last chooser picks another one, 131 times with the
+    # memo and 131 under rerun=True.
     @pytest.mark.parametrize("effect", sorted(_EFFECTS))
-    @pytest.mark.parametrize("fault, failures", [("reversed prefix", 280), ("first run", 155)])
+    @pytest.mark.parametrize(
+        "fault, failures",
+        [("reversed prefix", 280), ("first run", 155), ("last stage first candidate", 262)],
+    )
     def test_a_broken_sequence_fails(self, fault, failures, effect):
         assert _sequence_failures(effect, _broken_sequence(fault)) == (self.CASES, failures)
+
+
+class TestSelSequenceLastStage:
+    # The last stage scores a candidate by k itself, not by binding a unit
+    # into k, so a continuation that breaks NondetValue's duplicate-free
+    # invariant reaches the last chooser with its duplicates, as in sel_map.
+    @pytest.mark.parametrize("rerun", [False, True])
+    def test_the_last_chooser_sees_k_s_own_value(self, rerun):
+        eff = nondet_effect()
+        seen = []
+
+        def chooser(k):
+            # Each candidate once per alternative of its score.
+            scores = [(x, k(x)) for x in (0, 1)]
+            seen.extend(score for _, score in scores)
+            return NondetValue(tuple(x for x, score in scores for _ in score.alternatives))
+
+        returned = []
+
+        def k(xs):
+            value = NondetValue((xs[-1], xs[-1]))
+            returned.append(value)
+            return value
+
+        first = SelectionComputation(lambda k: NondetValue((7,)), eff)
+        last = SelectionComputation(chooser, eff)
+        answer = run_selection(sel_sequence([first, last], rerun=rerun), k)
+        assert len(seen) == len(returned) == 2
+        assert all(score is value for score, value in zip(seen, returned))
+        assert answer == NondetValue(((7, 0), (7, 1)))
+
+
+def _scores_every_candidate_at_0(eps):
+    """A broken ``to_quantifier``: the chooser sees ``lambda x: k(0)``."""
+    bind_m = eps.effect.bind
+
+    def runner(k):
+        return bind_m(eps.chooser(lambda x: k(0)), k)
+
+    return QuantifierComputation(runner, eps.effect)
+
+
+def _drops_the_column_check(eps, delta, x_domain, y_domain):
+    """A broken ``sum_selections``: it keeps every pair whose row move is
+    among the row player's choices, whatever the column player chooses."""
+
+    def chooser(k):
+        row_replies = [eps.chooser(lambda xp, y=y: k((xp, y))).alternatives for y in y_domain]
+        return NondetValue(tuple(
+            (x, y) for x in x_domain for y, row_reply in zip(y_domain, row_replies) if x in row_reply
+        ))
+
+    return SelectionComputation(chooser, eps.effect)
 
 
 class TestMorphismLaws:
@@ -652,6 +718,13 @@ class TestMorphismLaws:
         probe = [r for r in morphism_reports() if "probe" in r.name]
         assert len(probe) == 1
         assert probe[0].cases == 4
+
+    def test_a_broken_morphism_fails(self, monkeypatch):
+        # Unit cannot see this fault: sel_unit never calls its continuation.
+        monkeypatch.setattr(laws, "to_quantifier", _scores_every_candidate_at_0)
+        assert [(r.cases, r.failures) for r in morphism_reports()] == [
+            (13, 0), (16495, 1024), (4, 2)
+        ]
 
 
 class TestRandomizedMonadLaws:
@@ -709,3 +782,8 @@ class TestGameSuites:
         report = sum_equilibria_report()
         assert report.cases == 6561
         assert report.passed
+
+    def test_a_sum_without_the_column_check_fails(self, monkeypatch):
+        monkeypatch.setattr(laws, "sum_selections", _drops_the_column_check)
+        report = sum_equilibria_report()
+        assert (report.cases, report.failures) == (6561, 4698)
