@@ -8,13 +8,17 @@ that interns nothing, on the base effects' real binds and on broken ones.
 Both the exhaustive and the randomized drivers are fed deliberately broken
 binds to show that they report failures, and the morphism and equilibrium
 suites a broken ``to_quantifier`` and ``sum_selections``, patched into the
-names ``selcc.laws`` calls; this module also covers every other suite and
-the reporting contract.
+names ``selcc.laws`` calls, as the agent, backward-induction and SAT suites
+are fed broken agents, players and solvers; this module also covers every
+other suite, the reporting contract and ``run_all``'s forked child.
 """
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,18 +27,24 @@ from selcc import (
     QuantifierComputation,
     SelectionComputation,
     agent_partition_reports,
+    argmax_selection,
     backward_induction_reports,
     effect_law_reports,
+    fix_selection,
     morphism_reports,
+    punk_selection,
+    quantifier_monad_reports,
     randomized_monad_reports,
     run_all,
     run_selection,
     sat_correctness_report,
+    sat_product,
     sel_bind,
     sel_map,
     sel_product,
     sel_sequence,
     sel_unit,
+    selection_monad_reports,
     sum_equilibria_report,
 )
 from selcc import laws
@@ -707,6 +717,31 @@ def _drops_the_column_check(eps, delta, x_domain, y_domain):
     return SelectionComputation(chooser, eps.effect)
 
 
+def _last_maximum_player(stage):
+    """A broken argmax player: ties break to the last maximiser."""
+    eff = identity_effect()
+
+    def chooser(k):
+        best, best_score = None, None
+        for x in stage.moves:
+            score = k(x)[stage.controller]
+            if best is None or score >= best_score:
+                best, best_score = x, score
+        return eff.unit(best)
+
+    return SelectionComputation(chooser, eff)
+
+
+def _solve_with(player):
+    """``backward_induction`` with ``player(stage)`` at every stage."""
+
+    def solve(game):
+        play = run_selection(sel_sequence([player(stage) for stage in game.stages]), game.payoff)
+        return play, tuple(game.payoff(play))
+
+    return solve
+
+
 class TestMorphismLaws:
     def test_structure_is_preserved(self):
         reports = morphism_reports()
@@ -750,11 +785,29 @@ class TestRandomizedMonadLaws:
                 suite(0, -3)
 
 
+def _keeps_the_whole_domain(domain):
+    """A broken ``fix_selection``: it keeps every element, fixpoint or not."""
+    elements = tuple(domain)
+    return SelectionComputation(lambda k: NondetValue(elements), nondet_effect())
+
+
 class TestAgentPartition:
     def test_conformists_and_contrarians_split_every_domain(self):
         for report in agent_partition_reports():
             assert report.passed, report.name
             assert report.cases > 0
+
+    def test_swapped_agents_fail(self, monkeypatch):
+        # Swapped agents still split every domain; only the empty one passes.
+        monkeypatch.setattr(laws, "fix_selection", punk_selection)
+        monkeypatch.setattr(laws, "punk_selection", fix_selection)
+        [report] = agent_partition_reports()
+        assert (report.cases, report.failures) == (4124, 4123)
+
+    def test_a_fix_agent_keeping_the_whole_domain_fails(self, monkeypatch):
+        monkeypatch.setattr(laws, "fix_selection", _keeps_the_whole_domain)
+        [report] = agent_partition_reports()
+        assert (report.cases, report.failures) == (4124, 2782)
 
 
 class TestSearchCorrectness:
@@ -763,6 +816,19 @@ class TestSearchCorrectness:
         # all truth tables of one, two and three variables
         assert report.cases == 4 + 16 + 256
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "solver, failures",
+        [
+            (lambda formula: (False,) * formula.arity, 135),
+            (lambda formula: sat_product(formula)[:1] + (False,) * (formula.arity - 1), 124),
+        ],
+        ids=["always all-False", "only bit 0 of the product"],
+    )
+    def test_a_broken_solver_fails(self, monkeypatch, solver, failures):
+        monkeypatch.setattr(laws, "sat_product", solver)
+        report = sat_correctness_report(max_arity=3)
+        assert (report.cases, report.failures) == (276, failures)
 
 
 class TestGameSuites:
@@ -787,3 +853,111 @@ class TestGameSuites:
         monkeypatch.setattr(laws, "sum_selections", _drops_the_column_check)
         report = sum_equilibria_report()
         assert (report.cases, report.failures) == (6561, 4698)
+
+    @pytest.mark.parametrize(
+        "player, failures",
+        [
+            (lambda stage: argmax_selection(stage.moves, key=lambda u: u[0]), (104, 245)),
+            (_last_maximum_player, (192, 326)),
+        ],
+        ids=["every player maximises coordinate 0", "last-maximum tie-break"],
+    )
+    def test_broken_players_fail_backward_induction(self, monkeypatch, player, failures):
+        monkeypatch.setattr(laws, "backward_induction", _solve_with(player))
+        exhaustive, randomized = backward_induction_reports(seed=0, samples=1000)
+        assert (exhaustive.cases, randomized.cases) == (256, 1000)
+        assert (exhaustive.failures, randomized.failures) == failures
+
+
+def _nine_suites(seed, samples):
+    """The nine suites called one after another, in ``selcc laws`` order."""
+    return [
+        *effect_law_reports(seed),
+        *selection_monad_reports(),
+        *quantifier_monad_reports(),
+        *randomized_monad_reports(seed, samples),
+        *morphism_reports(),
+        *agent_partition_reports(),
+        sat_correctness_report(),
+        *backward_induction_reports(seed, samples),
+        sum_equilibria_report(),
+    ]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cheap_suites(monkeypatch):
+    """Stand in one-report fakes for the three exhaustive sweeps, which take
+    most of the parent's side of a pass."""
+    for name in ("effect_law_reports", "selection_monad_reports", "quantifier_monad_reports"):
+        monkeypatch.setattr(laws, name, lambda *args, name=name: [LawReport(name, 1, 0)])
+
+
+class TestRunAll:
+    """``run_all`` runs the randomized sweeps in a forked child beside the
+    other suites, or all of them here where it cannot fork."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_equals_the_nine_suites_in_order(self, seed):
+        expected = _nine_suites(seed, 50)
+        assert len(expected) == 29
+        assert run_all(seed, 50) == expected
+        _assert_no_child_left()
+
+    def test_serial_path_gives_the_same_reports(self, monkeypatch):
+        expected = _nine_suites(3, 50)
+        monkeypatch.delattr(os, "fork")
+        assert run_all(3, 50) == expected
+
+    def test_an_exception_in_the_child_is_raised_here(self, monkeypatch):
+        def boom(seed, samples):
+            raise ValueError("boom")
+
+        _cheap_suites(monkeypatch)
+        monkeypatch.setattr(laws, "randomized_monad_reports", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            run_all(0, 5)
+        _assert_no_child_left()
+
+    def test_a_child_that_sends_nothing_names_its_exit_status(self, monkeypatch):
+        parent = os.getpid()
+
+        def exits(seed, samples):
+            if os.getpid() != parent:
+                os._exit(3)
+            raise AssertionError("the randomized sweeps ran in this process")
+
+        _cheap_suites(monkeypatch)
+        monkeypatch.setattr(laws, "randomized_monad_reports", exits)
+        with pytest.raises(RuntimeError, match="status 3"):
+            run_all(0, 5)
+        _assert_no_child_left()
+
+    def test_a_parent_side_failure_reaps_a_child_with_a_full_pipe(self, monkeypatch):
+        # The child's result is far beyond a pipe buffer (64 KiB on Linux), so
+        # it stays blocked on its write until the parent closes the read end.
+        def fails(*args):
+            raise KeyError("parent side")
+
+        _cheap_suites(monkeypatch)
+        monkeypatch.setattr(
+            laws,
+            "randomized_monad_reports",
+            lambda seed, samples: [LawReport(f"{i:01000}", 1, 0) for i in range(1000)],
+        )
+        monkeypatch.setattr(laws, "sum_equilibria_report", fails)
+        with pytest.raises(KeyError, match="parent side"):
+            run_all(0, 5)
+        _assert_no_child_left()
+
+    def test_importing_selcc_loads_no_process_machinery(self):
+        code = (
+            "import sys, selcc\n"
+            "print(sorted(m for m in ('pickle', 'multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
