@@ -20,8 +20,9 @@ import argparse
 import ast
 import itertools
 import json
+import math
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .callcc import demo_bar, demo_foo
 from .core import run_selection
@@ -279,35 +280,53 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
 # ---------------------------------------------------------------------------
 
 
-def _parse_utilities(raw: Any, key: str, n_players: int) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(
-        isinstance(u, int) and not isinstance(u, bool) for u in raw
-    ):
-        raise GameFileError(f"payoff for {key!r} must be an array of integers")
-    if len(raw) != n_players:
-        raise GameFileError(
-            f"payoff for {key!r} has {len(raw)} entries, expected {n_players}"
-        )
-    return tuple(raw)
+def _payoff_fault(payoffs: dict, plays: Iterable[tuple[str, ...]], n_players: int) -> None:
+    """Raise for the first play, in order, whose payoff is missing or
+    malformed, else for the first key that names no play."""
+    keys = set()
+    for play in plays:
+        key = ",".join(play)
+        keys.add(key)
+        if key not in payoffs:
+            raise GameFileError(f"missing payoff for play {key!r}")
+        raw = payoffs[key]
+        if not isinstance(raw, list) or not all(
+            isinstance(u, int) and not isinstance(u, bool) for u in raw
+        ):
+            raise GameFileError(f"payoff for {key!r} must be an array of integers")
+        if len(raw) != n_players:
+            raise GameFileError(
+                f"payoff for {key!r} has {len(raw)} entries, expected {n_players}"
+            )
+    for key in payoffs:
+        if key not in keys:
+            raise GameFileError(f"payoff key {key!r} does not match any play")
 
 
 def _parse_payoff_table(
-    payoffs: Any, plays: list[tuple[str, ...]], n_players: int
+    payoffs: Any, move_lists: Sequence[Sequence[str]], n_players: int
 ) -> dict[tuple[str, ...], tuple[int, ...]]:
     if not isinstance(payoffs, dict):
         raise GameFileError('"payoffs" must be an object')
-    table: dict[tuple[str, ...], tuple[int, ...]] = {}
-    expected_keys = set()
-    for play in plays:
-        key = ",".join(play)
-        expected_keys.add(key)
-        if key not in payoffs:
-            raise GameFileError(f"missing payoff for play {key!r}")
-        table[play] = _parse_utilities(payoffs[key], key, n_players)
-    for key in payoffs:
-        if key not in expected_keys:
-            raise GameFileError(f"payoff key {key!r} does not match any play")
-    return table
+    if math.prod(map(len, move_lists)) > len(payoffs):
+        # Some play has no entry unless commas in move names make plays share
+        # keys: name the fault within len(payoffs) + 1 plays, not after
+        # listing them all.
+        _payoff_fault(payoffs, itertools.product(*move_lists), n_players)
+    plays = list(itertools.product(*move_lists))
+    keys = list(map(",".join, plays))
+    # A missing key reads as None, which fails the first test.  Every key
+    # present and as many entries as distinct keys means no extra key.
+    raws = list(map(payoffs.get, keys))
+    if not (
+        set(map(type, raws)) <= {list}
+        and set(map(len, raws)) <= {n_players}
+        and set(map(type, itertools.chain.from_iterable(raws))) <= {int}
+        and len(payoffs) == len(set(keys))
+    ):
+        # Finds no fault only in subclasses of int or list (never from JSON).
+        _payoff_fault(payoffs, plays, n_players)
+    return dict(zip(plays, map(tuple, raws)))
 
 
 def _string_list(raw: Any, what: str) -> tuple[str, ...]:
@@ -327,6 +346,11 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
     payoff object keyed by "rowmove,colmove".  No move list may name a move
     twice: each move is one alternative, and the solvers' nondeterministic
     answers hold every alternative once.
+
+    Checking the payoffs takes time linear in the number of plays.  The error
+    names the first fault in play order: a missing or malformed payoff, then
+    a key that matches no play.  A document with more plays than payoff
+    entries fails before its plays are listed.
     """
     if not isinstance(doc, dict):
         raise GameFileError("game document must be a JSON object")
@@ -354,8 +378,9 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
             _validate_sequential(players, stages)
         except ValueError as exc:
             raise GameFileError(str(exc)) from exc
-        plays = [tuple(p) for p in itertools.product(*(s.moves for s in stages))]
-        table = _parse_payoff_table(doc.get("payoffs"), plays, len(players))
+        table = _parse_payoff_table(
+            doc.get("payoffs"), [s.moves for s in stages], len(players)
+        )
         return SequentialGameSpec(players, tuple(stages), table.__getitem__)
     if kind == "simultaneous":
         players = _string_list(doc.get("players"), '"players"')
@@ -372,8 +397,7 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
             repeated = _repeated_index(moves)
             if repeated is not None:
                 raise GameFileError(f"{what} move list repeats move {moves[repeated]!r}")
-        pairs = [(x, y) for x in row_moves for y in col_moves]
-        table = _parse_payoff_table(doc.get("payoffs"), [tuple(p) for p in pairs], 2)
+        table = _parse_payoff_table(doc.get("payoffs"), (row_moves, col_moves), 2)
         return SimultaneousGameSpec(
             (players[0], players[1]),
             (row_moves, col_moves),

@@ -1,13 +1,19 @@
 """Tests for the formula parser, game-file validation, and the CLI commands."""
 from __future__ import annotations
 
+import enum
 import hashlib
+import inspect
 import itertools
 import json
 import random
 import re
 import subprocess
 import sys
+import textwrap
+import time
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -68,6 +74,17 @@ def _single_move_doc(n_stages: int) -> dict:
         "stages": [{"controller": 0, "moves": ["x"]}] * n_stages,
         "payoffs": {",".join(["x"] * n_stages): [7]},
     }
+
+
+def _comma_collision_doc(kind: str) -> dict:
+    moves = [["a,b", "a"], ["c", "b,c"]]
+    doc = {"type": kind, "players": ["P1", "P2"]}
+    if kind == "sequential":
+        doc["stages"] = [{"controller": i, "moves": m} for i, m in enumerate(moves)]
+    else:
+        doc["moves"] = moves
+    doc["payoffs"] = {"a,b,c": [1, 1], "a,b,b,c": [2, 2], "a,c": [3, 3]}
+    return doc
 
 
 def _truth_table(formula, arity: int) -> tuple[bool, ...]:
@@ -376,6 +393,180 @@ class TestParseGame:
         with pytest.raises(GameFileError, match="two players"):
             parse_game(doc)
 
+    @pytest.mark.parametrize("kind", ["sequential", "simultaneous"])
+    def test_plays_that_share_a_key_share_its_payoff(self, kind):
+        # ("a,b", "c") and ("a", "b,c") both join to "a,b,c": four plays,
+        # three keys.
+        doc = _comma_collision_doc(kind)
+        game = parse_game(doc)
+        if kind == "sequential":
+            assert game.payoff(("a,b", "c")) == game.payoff(("a", "b,c")) == (1, 1)
+            assert game.payoff(("a", "c")) == (3, 3)
+        else:
+            assert game.payoff("a,b", "c") == game.payoff("a", "b,c") == (1, 1)
+        doc["payoffs"]["zz"] = [0, 0]
+        with pytest.raises(GameFileError, match="^payoff key 'zz' does not match any play$"):
+            parse_game(doc)
+
+
+def _reference_payoff_table(payoffs, move_lists, n_players):
+    """The payoff table built and checked one play at a time, as the CLI did
+    before it checked tables in bulk."""
+    if not isinstance(payoffs, dict):
+        raise GameFileError('"payoffs" must be an object')
+    table = {}
+    expected_keys = set()
+    for play in itertools.product(*move_lists):
+        key = ",".join(play)
+        expected_keys.add(key)
+        if key not in payoffs:
+            raise GameFileError(f"missing payoff for play {key!r}")
+        raw = payoffs[key]
+        if not isinstance(raw, list) or not all(
+            isinstance(u, int) and not isinstance(u, bool) for u in raw
+        ):
+            raise GameFileError(f"payoff for {key!r} must be an array of integers")
+        if len(raw) != n_players:
+            raise GameFileError(
+                f"payoff for {key!r} has {len(raw)} entries, expected {n_players}"
+            )
+        table[play] = tuple(raw)
+    for key in payoffs:
+        if key not in expected_keys:
+            raise GameFileError(f"payoff key {key!r} does not match any play")
+    return table
+
+
+class _Vote(enum.IntEnum):
+    YES = 1
+
+
+_PAYOFF_FAULTS = ("missing", "extra", "utility", "length", "not a list", "IntEnum")
+
+
+def _inject_payoff_fault(rng: random.Random, payoffs: dict, n_players: int) -> str:
+    kind = rng.choice(_PAYOFF_FAULTS) if payoffs else "extra"
+    if kind == "extra":
+        payoffs[f"x{rng.randrange(9)}"] = [0] * n_players
+        return kind
+    key = rng.choice(list(payoffs))
+    vector = payoffs[key]
+    if not (isinstance(vector, list) and vector):
+        vector = [0] * n_players
+    vector = list(vector)
+    at = rng.randrange(len(vector))
+    if kind == "missing":
+        del payoffs[key]
+    elif kind == "utility":
+        vector[at] = rng.choice([True, 1.5, None, "3", [1], {}])
+        payoffs[key] = vector
+    elif kind == "length":
+        payoffs[key] = vector[:-1] if rng.random() < 0.5 else vector + [0]
+    elif kind == "not a list":
+        payoffs[key] = rng.choice([5, "1,2", {"0": 1}, None, tuple(vector)])
+    else:
+        vector[at] = _Vote.YES
+        payoffs[key] = vector
+    return kind
+
+
+def _random_game_doc(rng: random.Random) -> tuple[dict, Counter]:
+    """A seeded sequential or simultaneous document with 0-3 payoff faults,
+    and the count of each fault kind injected."""
+    if rng.random() < 0.5:
+        n_players = rng.randint(1, 3)
+        move_lists = [
+            [f"m{j}" for j in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 4))
+        ]
+        doc = {
+            "type": "sequential",
+            "players": [f"P{i}" for i in range(n_players)],
+            "stages": [
+                {"controller": rng.randrange(n_players), "moves": moves} for moves in move_lists
+            ],
+        }
+    else:
+        n_players = 2
+        move_lists = [[f"{side}{j}" for j in range(rng.randint(1, 4))] for side in "rc"]
+        doc = {"type": "simultaneous", "players": ["Row", "Col"], "moves": move_lists}
+    payoffs = {
+        ",".join(play): [rng.randint(-3, 3) for _ in range(n_players)]
+        for play in itertools.product(*move_lists)
+    }
+    n_faults = rng.randint(0, 3)
+    faults = Counter(_inject_payoff_fault(rng, payoffs, n_players) for _ in range(n_faults))
+    doc["payoffs"] = payoffs
+    return doc, faults
+
+
+def _parse_outcome(doc: dict, build_table) -> str | list:
+    """The error message ``parse_game`` raises on ``doc`` with ``build_table``
+    as the CLI's payoff-table builder, or the table's items in order."""
+    tables = []
+
+    def recording(*args):
+        tables.append(build_table(*args))
+        return tables[-1]
+
+    with mock.patch.object(cli, "_parse_payoff_table", recording):
+        try:
+            parse_game(doc)
+        except GameFileError as exc:
+            return str(exc)
+    return list(tables[0].items())
+
+
+def _assert_payoff_tables_agree_with_the_reference() -> None:
+    rng = random.Random(17)
+    outcomes, faults = Counter(), Counter()
+    build_table = cli._parse_payoff_table
+    for _ in range(1500):
+        doc, injected = _random_game_doc(rng)
+        faults += injected
+        expected = _parse_outcome(doc, _reference_payoff_table)
+        assert _parse_outcome(doc, build_table) == expected, doc
+        outcomes[type(expected)] += 1
+    # Every fault kind, and both accepted and rejected documents, were seen.
+    assert set(faults) == set(_PAYOFF_FAULTS), faults
+    assert outcomes[str] > 300 and outcomes[list] > 300, outcomes
+
+
+def _payoff_table_mutant(old: str, new: str):
+    """``_parse_payoff_table`` with ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(cli._parse_payoff_table))
+    assert old in source
+    namespace = dict(vars(cli))
+    exec(compile(source.replace(old, new), cli.__file__, "exec"), namespace)
+    return namespace["_parse_payoff_table"]
+
+
+class TestBulkPayoffCheck:
+    def test_tables_and_faults_agree_with_the_per_play_reference(self):
+        _assert_payoff_tables_agree_with_the_reference()
+
+    def test_an_intenum_utility_is_accepted_through_the_fallback(self):
+        doc = json.loads(json.dumps(_SEQ_DOC))
+        doc["payoffs"]["L,r"] = [_Vote.YES, 0]
+        table = _parse_outcome(doc, cli._parse_payoff_table)
+        assert table == _parse_outcome(doc, _reference_payoff_table)
+        assert type(dict(table)[("L", "r")][0]) is _Vote
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (
+                "set(map(type, itertools.chain.from_iterable(raws))) <= {int}",
+                "all(isinstance(u, int) for u in itertools.chain.from_iterable(raws))",
+            ),
+            ("and len(payoffs) == len(set(keys))", ""),
+        ],
+        ids=["accepts bool", "skips the key count"],
+    )
+    def test_a_weaker_bulk_check_is_caught(self, monkeypatch, old, new):
+        monkeypatch.setattr(cli, "_parse_payoff_table", _payoff_table_mutant(old, new))
+        with pytest.raises(AssertionError):
+            _assert_payoff_tables_agree_with_the_reference()
+
 
 class TestDemoCommands:
     def test_first_dialogue_output(self, capsys):
@@ -610,6 +801,48 @@ class TestSolveCommand:
         path.write_text(json.dumps(_single_move_doc(200)))
         assert main(["solve", str(path)]) == 2
         assert "200 stages; the limit is 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (None, "missing payoff for play {key!r}"),
+            ([True], "payoff for {key!r} must be an array of integers"),
+        ],
+        ids=["no payoffs", "a bad first payoff"],
+    )
+    def test_oversized_game_fails_before_its_plays_are_listed(
+        self, tmp_path, capsys, entry, message
+    ):
+        # 2**100 plays: listing them first would never finish.
+        key = ",".join(["l"] * MAX_SEQUENTIAL_STAGES)
+        doc = {
+            "type": "sequential",
+            "players": ["P"],
+            "stages": [{"controller": 0, "moves": ["l", "r"]}] * MAX_SEQUENTIAL_STAGES,
+            "payoffs": {} if entry is None else {key: entry},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["solve", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: " + message.format(key=key) + "\n"
+
+    def test_oversized_simultaneous_game_fails_before_its_pairs_are_listed(
+        self, tmp_path, capsys
+    ):
+        doc = {
+            "type": "simultaneous",
+            "players": ["Row", "Col"],
+            "moves": [[f"r{i}" for i in range(2000)], [f"c{i}" for i in range(2000)]],
+            "payoffs": {},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["solve", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: missing payoff for play 'r0,c0'\n"
 
     def test_backward_induction_has_headroom_above_the_stage_limit(self):
         # Twice the limit still solves under pytest, so a change that adds
