@@ -59,9 +59,10 @@ MAX_SEQUENTIAL_STAGES = 100
 
 # The most variables ``demo-sat`` accepts, the same arity limit as
 # ``sat_oracle``.  The search's trace log has 5 * 2**n - 4 lines, so time and
-# memory double per variable (measured: 20 variables print 5,242,876 lines
-# in 10.4 s with a peak RSS of 117 MB on a 2-core Linux x86-64 machine with
-# Python 3.11).
+# memory double per variable.  Measured on a 2-core Linux x86-64 machine with
+# Python 3.11: ``--vars 20 --formula 0`` prints a log of 5,242,876 lines in
+# 14.8 s with a peak RSS of 117 MB; the unsatisfiable ``--vars 16 --formula
+# '0&!0'`` prints 327,676 lines in 3.7-3.8 s with a peak RSS of 61 MB.
 MAX_DEMO_SAT_VARS = 20
 
 # How deep ``parse_formula`` lets "(" and "!" nest, and "!", "&" and "|"
@@ -281,12 +282,17 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
 
 
 def _payoff_fault(payoffs: dict, plays: Iterable[tuple[str, ...]], n_players: int) -> None:
-    """Raise for the first play, in order, whose payoff is missing or
-    malformed, else for the first key that names no play."""
-    keys = set()
+    """Raise for the first play, in order, whose key an earlier play already
+    has or whose payoff is missing or malformed, else for the first key that
+    names no play."""
+    keys: dict[str, tuple[str, ...]] = {}
     for play in plays:
         key = ",".join(play)
-        keys.add(key)
+        if key in keys:
+            raise GameFileError(
+                f"plays {keys[key]!r} and {play!r} share the payoff key {key!r}"
+            )
+        keys[key] = play
         if key not in payoffs:
             raise GameFileError(f"missing payoff for play {key!r}")
         raw = payoffs[key]
@@ -309,20 +315,20 @@ def _parse_payoff_table(
     if not isinstance(payoffs, dict):
         raise GameFileError('"payoffs" must be an object')
     if math.prod(map(len, move_lists)) > len(payoffs):
-        # Some play has no entry unless commas in move names make plays share
-        # keys: name the fault within len(payoffs) + 1 plays, not after
-        # listing them all.
+        # Some play has no entry, or shares its key with another: name the
+        # fault within len(payoffs) + 1 plays, not after listing them all.
         _payoff_fault(payoffs, itertools.product(*move_lists), n_players)
     plays = list(itertools.product(*move_lists))
     keys = list(map(",".join, plays))
     # A missing key reads as None, which fails the first test.  Every key
-    # present and as many entries as distinct keys means no extra key.
+    # present and as many entries as distinct keys means no extra key, and
+    # as many distinct keys as plays means no two plays share one.
     raws = list(map(payoffs.get, keys))
     if not (
         set(map(type, raws)) <= {list}
         and set(map(len, raws)) <= {n_players}
         and set(map(type, itertools.chain.from_iterable(raws))) <= {int}
-        and len(payoffs) == len(set(keys))
+        and len(payoffs) == len(set(keys)) == len(keys)
     ):
         # Finds no fault only in subclasses of int or list (never from JSON).
         _payoff_fault(payoffs, plays, n_players)
@@ -347,10 +353,14 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
     twice: each move is one alternative, and the solvers' nondeterministic
     answers hold every alternative once.
 
+    Move names may contain commas, but no two plays may join to the same
+    key, as ``("a,b", "c")`` and ``("a", "b,c")`` do.
+
     Checking the payoffs takes time linear in the number of plays.  The error
-    names the first fault in play order: a missing or malformed payoff, then
-    a key that matches no play.  A document with more plays than payoff
-    entries fails before its plays are listed.
+    names the first fault in play order: a play whose key an earlier play
+    has, or a missing or malformed payoff, then a key that matches no play.
+    A document with more plays than payoff entries fails before its plays
+    are listed.
     """
     if not isinstance(doc, dict):
         raise GameFileError("game document must be a JSON object")
@@ -436,8 +446,8 @@ def _cmd_demo_sat(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     log, bits = sat_callcc(formula)
-    for line in log:
-        print(line)
+    # One call writes the log a line at a time, without copying it.
+    sys.stdout.writelines(itertools.chain.from_iterable(zip(log, itertools.repeat("\n"))))
     print(format_assignment(bits))
     return 0
 

@@ -22,18 +22,22 @@ game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
 uses it so that its cost does not depend on the formula.
 
 A bind into a unit has no branch to run twice.  :func:`sel_map` is that
-case on its own: the functor action, with no memo and no second run.  The
-binary product :func:`sel_product` is built from it as in Escardó &
-Oliva's binary product of selection functions (*Selection functions, bar
-recursion and backward induction*, MSCS 2010): the inner selection is only
-mapped into the pair, and only the outer one is bound.  The iterated
+case on its own: the functor action, with no memo and no second run, whose
+chosen value comes out through the effect's own ``map`` in one step (a
+selection monad over a base monad uses that monad's map; Hedges, *Monad
+transformers for backtracking search*, MSFP 2014).  The binary product
+:func:`sel_product` is built from it as in Escardó & Oliva's binary product
+of selection functions (*Selection functions, bar recursion and backward
+induction*, MSCS 2010): the inner selection is only mapped into the pair,
+and only the outer one is bound.  The iterated
 product :func:`sel_sequence` is the fold of these binary products, run as
 one chooser that passes the chosen prefix down to the next stage; by the
 effect laws, binding a prefix-mapped value into ``k`` is binding the value
 into ``k`` after the prefix, so it equals the fold in every answer, log and
 continuation call, without a map and its bind per stage.  Its last stage
 scores a candidate by calling ``k`` directly, by the left-unit law, with
-:func:`sel_map`'s nondet caveat.
+:func:`sel_map`'s nondet caveat, and maps its choice into the tuple with the
+effect's ``map`` rather than building a unit per alternative.
 
 :class:`Monad` bundles each monad's functions into one value, so code written
 once over it (the call/cc dialogue, the law drivers) serves both monads.
@@ -229,24 +233,22 @@ def sel_map(
     """Apply a plain function to a selection's choice.
 
     The continuation ``k`` at ``Y`` scores a candidate ``x`` as ``k(g(x))``,
-    and the chosen ``x`` comes out as ``g(x)``.  By the effect's left-unit
-    law this equals ``sel_bind(eps, lambda x: sel_unit(g(x), eps.effect))``,
-    but it keeps no memo and takes no ``rerun``: a unit branch has nothing
-    to run again.  For the nondet effect the left-unit law, and so this
-    equality, holds on duplicate-free ``NondetValue`` results of ``k``, which
-    is the type's invariant; a continuation that breaks it is scored with
-    its duplicates here and without them by the bind.
+    and the chosen ``x`` comes out as ``g(x)`` through the effect's ``map``,
+    which is exactly its bind into its unit.  By the effect's left-unit law
+    this equals ``sel_bind(eps, lambda x: sel_unit(g(x), eps.effect))``, but
+    it keeps no memo and takes no ``rerun``: a unit branch has nothing to run
+    again.  For the nondet effect the left-unit law, and so this equality,
+    holds on duplicate-free ``NondetValue`` results of ``k``, which is the
+    type's invariant; a continuation that breaks it is scored with its
+    duplicates here and without them by the bind.  The caveat is in the
+    scoring only: the map dedups as the bind does.
     """
     eff = eps.effect
-    bind_m = eff.bind
-    unit = eff.unit
+    map_m = eff.map
     eps_chooser = eps.chooser
 
-    def mapped(x: Any) -> Any:
-        return unit(g(x))
-
     def chooser(k: Continuation) -> Any:
-        return bind_m(eps_chooser(lambda x: k(g(x))), mapped)
+        return map_m(eps_chooser(lambda x: k(g(x))), g)
 
     return SelectionComputation(chooser, eff)
 
@@ -283,19 +285,20 @@ def sel_sequence(
     scores a candidate ``x`` by binding ``run_from(i + 1, prefix + (x,),
     k)`` into ``k`` and answers with the run of its choice, from a memo as
     in :func:`sel_bind` or, under ``rerun=True``, run again.  At the last
-    stage that run is the unit at ``prefix + (x,)``, built in place, with no
-    memo, and a candidate is scored as ``k(prefix + (x,))``: by the left-unit
-    law that is binding the unit into ``k``, for nondet on duplicate-free
-    results of ``k``, as in :func:`sel_map`.  This equals the fold because
-    ``bind(map(m, prefix +), k) == bind(m, lambda xs: k(prefix + xs))`` (for
-    nondet because ``prefix +`` is injective, so dedup commutes with it):
-    answers, logs, continuation calls and chooser runs are the same, without
-    a map and its bind per stage.
+    stage there is no run: the stage's choice is mapped to ``prefix + (x,)``
+    with the effect's ``map``, which is exactly binding it into the unit at
+    ``prefix + (x,)``, and a candidate is scored as ``k(prefix + (x,))``: by
+    the left-unit law that is binding that unit into ``k``, for nondet on
+    duplicate-free results of ``k``, as in :func:`sel_map`.  This equals the
+    fold because ``bind(map(m, prefix +), k) == bind(m, lambda xs: k(prefix
+    + xs))`` (for nondet because ``prefix +`` is injective, so dedup commutes
+    with it): answers, logs, continuation calls and chooser runs are the
+    same, without a map and its bind per stage.
 
     The empty sequence yields the unit at the empty tuple; ``eff`` is only
-    consulted in that case.  Otherwise every stage binds with the first
-    computation's effect, so the computations must share it: a computation
-    whose effect differs raises :class:`ValueError`.
+    consulted in that case.  Otherwise every stage binds, and the last maps,
+    with the first computation's effect, so the computations must share it:
+    a computation whose effect differs raises :class:`ValueError`.
     """
     comps = list(computations)
     if not comps:
@@ -308,20 +311,19 @@ def sel_sequence(
                 f"but computation 0 has {effect.name!r}: sel_sequence needs one shared effect"
             )
     bind_m = effect.bind
-    unit = effect.unit
+    map_m = effect.map
     choosers = [comp.chooser for comp in comps]
     final = len(comps) - 1
 
     def run_from(i: int, prefix: tuple[Any, ...], k: Continuation) -> Any:
         if i == final:
 
-            def chosen(x: Any) -> Any:
-                return unit(prefix + (x,))
-
             def extended(x: Any) -> Any:
                 return k(prefix + (x,))
 
-        elif rerun:
+            return map_m(choosers[i](extended), lambda x: prefix + (x,))
+
+        if rerun:
 
             def chosen(x: Any) -> Any:
                 return run_from(i + 1, prefix + (x,), k)

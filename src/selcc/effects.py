@@ -1,19 +1,25 @@
 """Base effects that selection and quantifier computations run over.
 
 An effect is a monad presented as a bundle of first-class functions: ``unit``
-injects a plain value and ``bind`` sequences a computation into a dependent
-continuation.  Three instances are provided:
+injects a plain value, ``bind`` sequences a computation into a dependent
+continuation, and ``map`` applies a plain function to a computation's
+value(s) in one step.  Three instances are provided:
 
 * identity — no effect at all, ``Eff(A) = A``;
 * trace — a write-only log of text lines carried alongside the value;
 * nondet — a finite, ordered, duplicate-free sequence of alternatives.
 
 Every instance satisfies the monad laws (see :mod:`selcc.laws` for the
-machine-checked evidence).
+machine-checked evidence), and each one's ``map`` is exactly its ``bind``
+into its ``unit``:
+
+* identity: ``map(m, g) = g(m)``;
+* trace: ``map(m, g)`` keeps ``m``'s log and applies ``g`` to its value;
+* nondet: ``map(m, g)`` applies ``g`` to every alternative and dedups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
 A = TypeVar("A")
@@ -22,16 +28,32 @@ B = TypeVar("B")
 
 @dataclass(frozen=True, slots=True)
 class EffectInstance:
-    """A monad as a value: a name, a unit, and a bind.
+    """A monad as a value: a name, a unit, a bind, and a map.
 
     ``unit(a)`` wraps a plain value; ``bind(m, f)`` runs ``m`` and feeds its
-    result(s) to ``f``.  Instances are immutable bundles of pure functions and
-    are safe to share between threads.
+    result(s) to ``f``; ``map(m, g)`` equals ``bind(m, lambda a:
+    unit(g(a)))``.  An instance built from a name, a unit and a bind alone
+    (or with ``map=None``) gets exactly that map; ``dataclasses.replace``
+    copies the old map unless it is given ``map=None`` too.  ``map`` takes
+    no part in ``==``: two instances
+    with the same name, unit and bind are the same effect.  Instances are
+    immutable bundles of pure functions and are safe to share between
+    threads.
     """
 
     name: str
     unit: Callable[[Any], Any]
     bind: Callable[[Any, Callable[[Any], Any]], Any]
+    map: Callable[[Any, Callable[[Any], Any]], Any] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.map is None:
+            bind, unit = self.bind, self.unit
+
+            def derived_map(m: Any, g: Callable[[Any], Any]) -> Any:
+                return bind(m, lambda a: unit(g(a)))
+
+            object.__setattr__(self, "map", derived_map)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +82,9 @@ def _identity_bind(m: Any, f: Callable[[Any], Any]) -> Any:
     return f(m)
 
 
-_IDENTITY = EffectInstance(name="Identity", unit=lambda a: a, bind=_identity_bind)
+_IDENTITY = EffectInstance(
+    name="Identity", unit=lambda a: a, bind=_identity_bind, map=_identity_bind
+)
 
 
 def identity_effect() -> EffectInstance:
@@ -77,7 +101,11 @@ def _trace_bind(m: TraceValue[Any], f: Callable[[Any], TraceValue[Any]]) -> Trac
     return TraceValue(m.log + out.log, out.value)
 
 
-_TRACE = EffectInstance(name="Trace", unit=_trace_unit, bind=_trace_bind)
+def _trace_map(m: TraceValue[Any], g: Callable[[Any], Any]) -> TraceValue[Any]:
+    return TraceValue(m.log, g(m.value))
+
+
+_TRACE = EffectInstance(name="Trace", unit=_trace_unit, bind=_trace_bind, map=_trace_map)
 
 
 def trace_effect() -> EffectInstance:
@@ -120,7 +148,11 @@ def _nondet_bind(m: NondetValue[Any], f: Callable[[Any], NondetValue[Any]]) -> N
     return NondetValue(_dedup(collected))
 
 
-_NONDET = EffectInstance(name="Nondet", unit=_nondet_unit, bind=_nondet_bind)
+def _nondet_map(m: NondetValue[Any], g: Callable[[Any], Any]) -> NondetValue[Any]:
+    return NondetValue(_dedup(list(map(g, m.alternatives))))
+
+
+_NONDET = EffectInstance(name="Nondet", unit=_nondet_unit, bind=_nondet_bind, map=_nondet_map)
 
 
 def nondet_effect() -> EffectInstance:

@@ -46,7 +46,7 @@ class BooleanFormula:
 
 def format_assignment(bits: Sequence[bool]) -> str:
     """Render an assignment as ``[True,False,True]`` (no spaces)."""
-    return "[" + ",".join("True" if b else "False" for b in bits) + "]"
+    return "[" + ",".join(map(str, map(bool, bits))) + "]"
 
 
 def bool_probe(eff: EffectInstance | None = None) -> SelectionComputation[bool, bool]:
@@ -92,24 +92,39 @@ def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:
     eff = trace_effect()
     dummy: Assignment = (False,) * formula.arity
 
+    def log(line: str) -> SelectionComputation:
+        return sel_lift(tell(line), eff)
+
+    # The logging actions every continuation call repeats, built once.  The
+    # probe lines are shared only for the bool singletons, so a formula that
+    # answers 0 or 1 still logs ``b = 0, `` or ``b = 1, ``.
+    probe_true, probe_false = log("b = True, "), log("b = False, ")
+    dummy_call = log(f"Continuation called with {format_assignment(dummy)}")
+
+    def probe_line(b: object) -> SelectionComputation:
+        if b is True:
+            return probe_true
+        if b is False:
+            return probe_false
+        return log(f"b = {b}, ")
+
     def step(kk: Callable[[Assignment], SelectionComputation]) -> SelectionComputation:
         def per_variable(_: int) -> SelectionComputation:
             return sel_bind(
                 bool_probe(eff),
-                lambda b: sel_bind(
-                    sel_lift(tell(f"b = {b}, "), eff),
-                    lambda _: sel_map(kk(dummy), lambda _: b),
-                ),
+                lambda b: sel_bind(probe_line(b), lambda _: sel_map(kk(dummy), lambda _: b)),
             )
 
         return sel_sequence([per_variable(i) for i in range(formula.arity)], eff)
 
+    def call_line(bits: Assignment) -> SelectionComputation:
+        if bits is dummy:
+            return dummy_call
+        return log(f"Continuation called with {format_assignment(bits)}")
+
     program = sel_bind(
         callcc_selection(step, eff),
-        lambda bits: sel_map(
-            sel_lift(tell(f"Continuation called with {format_assignment(bits)}"), eff),
-            lambda _: bits,
-        ),
+        lambda bits: sel_map(call_line(bits), lambda _: bits),
     )
 
     outcome = run_selection(program, lambda bits: eff.unit(formula.evaluate(bits)))

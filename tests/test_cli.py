@@ -1,8 +1,10 @@
 """Tests for the formula parser, game-file validation, and the CLI commands."""
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
+import io
 import inspect
 import itertools
 import json
@@ -76,15 +78,20 @@ def _single_move_doc(n_stages: int) -> dict:
     }
 
 
-def _comma_collision_doc(kind: str) -> dict:
-    moves = [["a,b", "a"], ["c", "b,c"]]
+def _comma_doc(kind: str, second_moves: list[str], payoffs: dict) -> dict:
+    moves = [["a,b", "a"], second_moves]
     doc = {"type": kind, "players": ["P1", "P2"]}
     if kind == "sequential":
         doc["stages"] = [{"controller": i, "moves": m} for i, m in enumerate(moves)]
     else:
         doc["moves"] = moves
-    doc["payoffs"] = {"a,b,c": [1, 1], "a,b,b,c": [2, 2], "a,c": [3, 3]}
+    doc["payoffs"] = payoffs
     return doc
+
+
+def _comma_collision_doc(kind: str) -> dict:
+    # ("a,b", "c") and ("a", "b,c") both join to "a,b,c": four plays, three keys.
+    return _comma_doc(kind, ["c", "b,c"], {"a,b,c": [1, 1], "a,b,b,c": [2, 2], "a,c": [3, 3]})
 
 
 def _truth_table(formula, arity: int) -> tuple[bool, ...]:
@@ -394,19 +401,31 @@ class TestParseGame:
             parse_game(doc)
 
     @pytest.mark.parametrize("kind", ["sequential", "simultaneous"])
-    def test_plays_that_share_a_key_share_its_payoff(self, kind):
-        # ("a,b", "c") and ("a", "b,c") both join to "a,b,c": four plays,
-        # three keys.
-        doc = _comma_collision_doc(kind)
-        game = parse_game(doc)
+    def test_plays_that_share_a_key_are_rejected(self, kind):
+        _assert_shared_keys_are_rejected(cli._parse_payoff_table, kind)
+
+    @pytest.mark.parametrize("kind", ["sequential", "simultaneous"])
+    def test_move_names_may_contain_commas(self, kind):
+        payoffs = {"a,b,c": [1, 1], "a,b,b;c": [2, 2], "a,c": [3, 3], "a,b;c": [4, 4]}
+        game = parse_game(_comma_doc(kind, ["c", "b;c"], payoffs))
         if kind == "sequential":
-            assert game.payoff(("a,b", "c")) == game.payoff(("a", "b,c")) == (1, 1)
-            assert game.payoff(("a", "c")) == (3, 3)
+            assert game.payoff(("a,b", "c")) == (1, 1)
+            assert game.payoff(("a", "b;c")) == (4, 4)
         else:
-            assert game.payoff("a,b", "c") == game.payoff("a", "b,c") == (1, 1)
-        doc["payoffs"]["zz"] = [0, 0]
-        with pytest.raises(GameFileError, match="^payoff key 'zz' does not match any play$"):
-            parse_game(doc)
+            assert game.payoff("a,b", "c") == (1, 1)
+            assert game.payoff("a", "b;c") == (4, 4)
+
+
+_SHARED_KEY = "plays ('a,b', 'c') and ('a', 'b,c') share the payoff key 'a,b,c'"
+
+
+def _assert_shared_keys_are_rejected(build_table, kind: str) -> None:
+    """Four plays that join to three keys fail with ``build_table``, and so
+    does the same document with a fourth, unmatched entry."""
+    doc = _comma_collision_doc(kind)
+    assert _parse_outcome(doc, build_table) == _SHARED_KEY
+    doc["payoffs"]["zz"] = [0, 0]
+    assert _parse_outcome(doc, build_table) == _SHARED_KEY
 
 
 def _reference_payoff_table(payoffs, move_lists, n_players):
@@ -415,10 +434,14 @@ def _reference_payoff_table(payoffs, move_lists, n_players):
     if not isinstance(payoffs, dict):
         raise GameFileError('"payoffs" must be an object')
     table = {}
-    expected_keys = set()
+    expected_keys = {}
     for play in itertools.product(*move_lists):
         key = ",".join(play)
-        expected_keys.add(key)
+        if key in expected_keys:
+            raise GameFileError(
+                f"plays {expected_keys[key]!r} and {play!r} share the payoff key {key!r}"
+            )
+        expected_keys[key] = play
         if key not in payoffs:
             raise GameFileError(f"missing payoff for play {key!r}")
         raw = payoffs[key]
@@ -531,12 +554,14 @@ def _assert_payoff_tables_agree_with_the_reference() -> None:
     assert outcomes[str] > 300 and outcomes[list] > 300, outcomes
 
 
-def _payoff_table_mutant(old: str, new: str):
-    """``_parse_payoff_table`` with ``old`` in its source replaced by ``new``."""
+def _payoff_table_mutant(*edits: tuple[str, str]):
+    """``_parse_payoff_table`` with each ``(old, new)`` edit made to its source."""
     source = textwrap.dedent(inspect.getsource(cli._parse_payoff_table))
-    assert old in source
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new)
     namespace = dict(vars(cli))
-    exec(compile(source.replace(old, new), cli.__file__, "exec"), namespace)
+    exec(compile(source, cli.__file__, "exec"), namespace)
     return namespace["_parse_payoff_table"]
 
 
@@ -558,14 +583,26 @@ class TestBulkPayoffCheck:
                 "set(map(type, itertools.chain.from_iterable(raws))) <= {int}",
                 "all(isinstance(u, int) for u in itertools.chain.from_iterable(raws))",
             ),
-            ("and len(payoffs) == len(set(keys))", ""),
+            ("and len(payoffs) == len(set(keys)) == len(keys)", ""),
         ],
         ids=["accepts bool", "skips the key count"],
     )
     def test_a_weaker_bulk_check_is_caught(self, monkeypatch, old, new):
-        monkeypatch.setattr(cli, "_parse_payoff_table", _payoff_table_mutant(old, new))
+        monkeypatch.setattr(cli, "_parse_payoff_table", _payoff_table_mutant((old, new)))
         with pytest.raises(AssertionError):
             _assert_payoff_tables_agree_with_the_reference()
+
+    # With fewer entries than plays the lazy per-play check meets a shared
+    # key first; the bulk check states the same rule on its own.
+    @pytest.mark.parametrize("kind", ["sequential", "simultaneous"])
+    def test_the_bulk_check_alone_rejects_shared_keys(self, kind):
+        no_lazy_check = ("if math.prod(map(len, move_lists)) > len(payoffs):", "if False:")
+        _assert_shared_keys_are_rejected(_payoff_table_mutant(no_lazy_check), kind)
+        shares_keys = _payoff_table_mutant(
+            no_lazy_check, ("== len(set(keys)) == len(keys)", "== len(set(keys))")
+        )
+        with pytest.raises(AssertionError):
+            _assert_shared_keys_are_rejected(shares_keys, kind)
 
 
 class TestDemoCommands:
@@ -614,6 +651,31 @@ class TestDemoCommands:
         log, bits = sat_callcc(parse_formula("0&!1&2", 3))
         assert out == log + ["[True,False,True]"]
         assert bits == (True, False, True)
+
+    def test_sat_demo_prints_what_sat_callcc_logs_on_seeded_formulas(self, capsys):
+        rng = random.Random(18)
+        satisfiable = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            # Random CNF, up to three literals a clause: about half satisfiable.
+            formula = "&".join(
+                "(" + "|".join(
+                    ("!" if rng.random() < 0.5 else "") + str(rng.randrange(n))
+                    for _ in range(rng.randint(1, 3))
+                ) + ")"
+                for _ in range(rng.randint(1, 3 * n))
+            )
+            assert main(["demo-sat", "--vars", str(n), "--formula", formula]) == 0
+            out = capsys.readouterr().out
+            log, bits = sat_callcc(parse_formula(formula, n))
+            expected = io.StringIO()
+            with contextlib.redirect_stdout(expected):
+                for line in log:
+                    print(line)
+                print("[" + ",".join("True" if b else "False" for b in bits) + "]")
+            assert out == expected.getvalue(), formula
+            satisfiable += any(bits)
+        assert 50 < satisfiable < 250, satisfiable
 
     def test_sat_demo_help_documents_the_dummy_assignment(self, capsys):
         assert main(["demo-sat", "--help"]) == 0
@@ -741,6 +803,14 @@ class TestSolveCommand:
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path)]) == 0
         assert capsys.readouterr().out.splitlines() == ["no pure equilibrium"]
+
+    @pytest.mark.parametrize("kind", ["sequential", "simultaneous"])
+    def test_plays_that_share_a_payoff_key_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "commas.json"
+        path.write_text(json.dumps(_comma_collision_doc(kind)))
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {_SHARED_KEY}\n")
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/game.json"]) == 2

@@ -295,36 +295,49 @@ class TestSelSequence:
     # With the memo, (m^n - 1)/(m - 1) stage runs make one bind each, the
     # candidates scored at inner stages one fewer, and the m^n scored leaves
     # call k with no bind; rerun=True runs each chosen branch again.  The
-    # continuation calls are those that binding a unit into k made.
+    # continuation calls are those that binding a unit into k made.  Each
+    # last-stage run maps its choice: an effect built without a map (the
+    # "derived" counts) makes that map one bind, and the real nondet map
+    # (the "native" counts) makes it one map and no bind.
     @pytest.mark.parametrize(
-        "stages, moves, rerun, binds, calls",
+        "stages, moves, rerun, derived, native",
         [
-            (4, 4, False, 169, 1024),
-            (6, 2, False, 125, 384),
-            (4, 4, True, 877, 3840),
-            (6, 2, True, 2047, 4032),
+            (4, 4, False, (169, 1024), (105, 64, 1024)),
+            (6, 2, False, (125, 384), (93, 32, 384)),
+            (4, 4, True, (877, 3840), (365, 512, 3840)),
+            (6, 2, True, (2047, 4032), (1023, 1024, 4032)),
         ],
+        ids=["4x4-memo", "6x2-memo", "4x4-rerun", "6x2-rerun"],
     )
-    def test_effect_binds_on_all_tie_games(self, stages, moves, rerun, binds, calls):
+    def test_effect_binds_on_all_tie_games(self, stages, moves, rerun, derived, native):
         base = nondet_effect()
-        counts = {"binds": 0, "calls": 0}
+        counts = {"binds": 0, "maps": 0, "calls": 0}
 
         def bind(m, f):
             counts["binds"] += 1
             return base.bind(m, f)
 
+        def map_(m, g):
+            counts["maps"] += 1
+            return base.map(m, g)
+
         def k(xs):
             counts["calls"] += 1
             return NondetValue((0,))
 
-        eff = EffectInstance(base.name, base.unit, bind)
-        players = [
-            SelectionComputation(nondet_argmax_selection(range(moves)).chooser, eff)
-            for _ in range(stages)
-        ]
-        chosen = run_selection(sel_sequence(players, rerun=rerun), k)
-        assert chosen.alternatives == tuple(itertools.product(range(moves), repeat=stages))
-        assert counts == {"binds": binds, "calls": calls}
+        def run(eff):
+            counts.update(binds=0, maps=0, calls=0)
+            players = [
+                SelectionComputation(nondet_argmax_selection(range(moves)).chooser, eff)
+                for _ in range(stages)
+            ]
+            chosen = run_selection(sel_sequence(players, rerun=rerun), k)
+            assert chosen.alternatives == tuple(itertools.product(range(moves), repeat=stages))
+            return counts["binds"], counts["maps"], counts["calls"]
+
+        binds, calls = derived
+        assert run(EffectInstance(base.name, base.unit, bind)) == (binds, 0, calls)
+        assert run(EffectInstance(base.name, base.unit, bind, map_)) == native
 
 
 class TestRunners:

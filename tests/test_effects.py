@@ -1,11 +1,14 @@
 """Tests for the three effect instances: identity, trace, nondeterminism."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selcc import (
+    EffectInstance,
     NondetValue,
     TraceValue,
     identity_effect,
@@ -16,6 +19,7 @@ from selcc import (
     trace_effect,
 )
 from selcc import effects
+from selcc.laws import _nondet_sequences, _trace_values
 
 
 class TestIdentityEffect:
@@ -265,3 +269,101 @@ class TestNondetDedupIsLinear:
         expected = tuple(dict.fromkeys(y for x in inputs for y in k(x).alternatives))
         assert len(expected) == 180_001
         assert result.alternatives == expected
+
+
+# Each base effect's law universe over the carrier range(n).
+_UNIVERSES = {
+    "Identity": range,
+    "Trace": _trace_values,
+    "Nondet": lambda n: _nondet_sequences(range(n)),
+}
+
+
+def _map_law_counts(eff: EffectInstance) -> tuple[int, int]:
+    """Cases and failures of ``map(m, g) == bind(m, lambda a: unit(g(a)))``
+    for every ``m`` in the effect's universe over ``range(n)`` and every ``g``
+    from ``range(n)`` into ``range(r)``, non-injective ones included, for
+    ``n, r`` in 1..3."""
+    values = _UNIVERSES[eff.name]
+    cases = failures = 0
+    for n, r in itertools.product((1, 2, 3), repeat=2):
+        for table in itertools.product(range(r), repeat=n):
+            g = table.__getitem__
+            for m in values(n):
+                cases += 1
+                failures += eff.map(m, g) != eff.bind(m, lambda a: eff.unit(g(a)))
+    return cases, failures
+
+
+def _trace_map_dropping_the_log(m, g):
+    return TraceValue((), g(m.value))
+
+
+def _nondet_map_without_dedup(m, g):
+    return NondetValue(tuple(map(g, m.alternatives)))
+
+
+_BUILT_IN = [identity_effect(), trace_effect(), nondet_effect()]
+_MAP_CASES = {"Identity": 142, "Trace": 284, "Nondet": 658}
+
+
+class TestEffectMap:
+    @pytest.mark.parametrize("eff", _BUILT_IN, ids=lambda eff: eff.name)
+    def test_map_is_bind_into_unit_on_the_whole_universe(self, eff):
+        assert _map_law_counts(eff) == (_MAP_CASES[eff.name], 0)
+
+    @pytest.mark.parametrize(
+        "base, broken_map, failures",
+        [
+            # Every case whose m has a line in its log.
+            (trace_effect(), _trace_map_dropping_the_log, 142),
+            # Every case where g sends two alternatives of m to one value.
+            (nondet_effect(), _nondet_map_without_dedup, 276),
+        ],
+        ids=["trace-dropping-the-log", "nondet-without-dedup"],
+    )
+    def test_a_broken_map_is_caught(self, base, broken_map, failures):
+        broken = EffectInstance(base.name, base.unit, base.bind, broken_map)
+        assert _map_law_counts(broken) == (_MAP_CASES[base.name], failures)
+
+    @given(_ALTERNATIVES)
+    @example([1, True, 1.0])
+    @example([3, _EQUALS_THREE, [3], _EQUALS_THREE])
+    def test_nondet_map_keeps_the_objects_bind_keeps(self, xs):
+        eff = nondet_effect()
+        m = NondetValue(tuple(xs))
+        mapped = eff.map(m, lambda x: x).alternatives
+        bound = eff.bind(m, eff.unit).alternatives
+        assert len(mapped) == len(bound)
+        assert all(a is b for a, b in zip(mapped, bound))
+
+
+class TestThreeArgumentEffects:
+    """An effect built from a name, a unit and a bind alone, as the
+    benchmark's counting effect in ``perfbench/tracing.py`` is."""
+
+    @pytest.mark.parametrize("base", _BUILT_IN, ids=lambda eff: eff.name)
+    def test_the_derived_map_is_bind_into_unit(self, base):
+        eff = EffectInstance(base.name, base.unit, base.bind)
+        assert _map_law_counts(eff) == (_MAP_CASES[base.name], 0)
+
+    def test_the_derived_map_binds_once_per_call(self):
+        base = nondet_effect()
+        binds = []
+
+        def bind(m, f):
+            binds.append(m)
+            return base.bind(m, f)
+
+        eff = EffectInstance(base.name, base.unit, bind)
+        m = NondetValue((1, 2, 3))
+        assert eff.map(m, lambda x: x // 2) == NondetValue((0, 1))
+        assert binds == [m]
+
+    @pytest.mark.parametrize("base", _BUILT_IN, ids=lambda eff: eff.name)
+    def test_equality_ignores_the_map(self, base):
+        derived = EffectInstance(base.name, base.unit, base.bind)
+        assert derived.map is not base.map
+        assert derived == base and hash(derived) == hash(base)
+        assert EffectInstance(base.name, base.unit, base.bind, lambda m, g: m) == base
+        assert EffectInstance(base.name, base.unit, lambda m, f: f(m)) != base

@@ -53,6 +53,21 @@ _EXPECTED_LOG = [
 ]
 
 
+# A formula that answers 1 and 0, not True and False.  The probes log the
+# values it answers, so ``b = 1, `` and ``b = 0, `` must not turn into the
+# lines of the bools they equal.
+_INT_VALUED = BooleanFormula(2, lambda b: 1 if b[0] and not b[1] else 0)
+
+_INT_VALUED_LOG = [
+    "b = True, ", _call_line("[False,False]"),
+    "b = True, ", _call_line("[False,False]"), _call_line("[True,True]"),
+    "b = 0, ", _call_line("[False,False]"), _call_line("[True,False]"),
+    "b = 1, ", _call_line("[False,False]"),
+    "b = True, ", _call_line("[False,False]"), _call_line("[True,True]"),
+    "b = 0, ", _call_line("[False,False]"), _call_line("[True,False]"),
+]
+
+
 def _truth_table_formula(arity: int, table: tuple[bool, ...]) -> BooleanFormula:
     assignments = list(itertools.product((False, True), repeat=arity))
     mapping = dict(zip(assignments, table))
@@ -103,6 +118,12 @@ class TestSatCallcc:
         log, bits = sat_callcc(_TARGET)
         assert log == _EXPECTED_LOG
         assert bits == (True, False, True)
+
+    def test_a_formula_answering_ints_logs_them(self):
+        log, bits = sat_callcc(_INT_VALUED)
+        assert log == _INT_VALUED_LOG
+        assert list(map(type, bits)) == [int, int] and bits == (1, 0)
+        assert format_assignment(bits) == "[True,False]"
 
     def test_probe_lines_and_their_values(self):
         log, _ = sat_callcc(_TARGET)
