@@ -38,7 +38,7 @@ from .games import (
     sum_selections,
 )
 from .laws import run_all
-from .search import BooleanFormula, format_assignment, sat_callcc
+from .search import BooleanFormula, _sat_callcc_outcome, format_assignment
 
 
 class FormulaParseError(ValueError):
@@ -60,9 +60,11 @@ MAX_SEQUENTIAL_STAGES = 100
 # The most variables ``demo-sat`` accepts, the same arity limit as
 # ``sat_oracle``.  The search's trace log has 5 * 2**n - 4 lines, so time and
 # memory double per variable.  Measured on a 2-core Linux x86-64 machine with
-# Python 3.11: ``--vars 20 --formula 0`` prints a log of 5,242,876 lines in
-# 14.8 s with a peak RSS of 117 MB; the unsatisfiable ``--vars 16 --formula
-# '0&!0'`` prints 327,676 lines in 3.7-3.8 s with a peak RSS of 61 MB.
+# Python 3.11, writing to a file: ``--vars 20 --formula 0`` prints a log of
+# 5,242,876 lines in 2.3-3.0 s with a peak RSS of 117 MB; the unsatisfiable
+# ``--vars 16 --formula '0&!0'`` prints 327,676 lines in 2.3-2.9 s with a peak
+# RSS of 62 MB.  Either peak is set inside the search, by the last trace bind
+# holding both halves of the log and their concatenation.
 MAX_DEMO_SAT_VARS = 20
 
 # How deep ``parse_formula`` lets "(" and "!" nest, and "!", "&" and "|"
@@ -445,10 +447,10 @@ def _cmd_demo_sat(args: argparse.Namespace) -> int:
     except FormulaParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    log, bits = sat_callcc(formula)
-    # One call writes the log a line at a time, without copying it.
-    sys.stdout.writelines(itertools.chain.from_iterable(zip(log, itertools.repeat("\n"))))
-    print(format_assignment(bits))
+    outcome = _sat_callcc_outcome(formula)
+    # One call writes the trace's own log a line at a time, without copying it.
+    sys.stdout.writelines(itertools.chain.from_iterable(zip(outcome.log, itertools.repeat("\n"))))
+    print(format_assignment(outcome.value))
     return 0
 
 

@@ -63,6 +63,10 @@ class TraceValue(Generic[A]):
     log: tuple[str, ...]
     value: A
 
+    def __init__(self, log: tuple[str, ...], value: A) -> None:
+        _set_log(self, log)
+        _set_value(self, value)
+
 
 @dataclass(frozen=True, slots=True)
 class NondetValue(Generic[A]):
@@ -76,6 +80,19 @@ class NondetValue(Generic[A]):
     """
 
     alternatives: tuple[A, ...]
+
+    def __init__(self, alternatives: tuple[A, ...]) -> None:
+        _set_alternatives(self, alternatives)
+
+
+# Every trace and nondet bind, map and unit builds one of these values, so
+# each stores its fields straight through their slots, skipping the generated
+# __init__'s ``object.__setattr__`` per field; ``-> None`` is reset to the
+# generated one's ``None`` (not the string) so the signatures stay the same.
+_set_log, _set_value = TraceValue.log.__set__, TraceValue.value.__set__
+_set_alternatives = NondetValue.alternatives.__set__
+TraceValue.__init__.__annotations__["return"] = None
+NondetValue.__init__.__annotations__["return"] = None
 
 
 def _identity_bind(m: Any, f: Callable[[Any], Any]) -> Any:

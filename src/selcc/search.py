@@ -31,7 +31,7 @@ from .core import (
     sel_map,
     sel_sequence,
 )
-from .effects import EffectInstance, identity_effect, tell, trace_effect
+from .effects import EffectInstance, TraceValue, identity_effect, tell, trace_effect
 
 Assignment = tuple[bool, ...]
 
@@ -87,6 +87,13 @@ def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:
     as ``Continuation called with [...]``.  Returns the log and the final
     assignment, which always equals :func:`sat_product`'s answer.
     """
+    outcome = _sat_callcc_outcome(formula)
+    return list(outcome.log), outcome.value
+
+
+def _sat_callcc_outcome(formula: BooleanFormula) -> TraceValue[Assignment]:
+    """:func:`sat_callcc`'s search, answering with its trace value, whose log
+    is a tuple; ``demo-sat`` writes that tuple without a list copy."""
     if formula.arity < 1:
         raise ValueError("sat_callcc requires at least one variable")
     eff = trace_effect()
@@ -95,40 +102,41 @@ def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:
     def log(line: str) -> SelectionComputation:
         return sel_lift(tell(line), eff)
 
-    # The logging actions every continuation call repeats, built once.  The
-    # probe lines are shared only for the bool singletons, so a formula that
-    # answers 0 or 1 still logs ``b = 0, `` or ``b = 1, ``.
-    probe_true, probe_false = log("b = True, "), log("b = False, ")
-    dummy_call = log(f"Continuation called with {format_assignment(dummy)}")
-
-    def probe_line(b: object) -> SelectionComputation:
-        if b is True:
-            return probe_true
-        if b is False:
-            return probe_false
-        return log(f"b = {b}, ")
-
-    def step(kk: Callable[[Assignment], SelectionComputation]) -> SelectionComputation:
-        def per_variable(_: int) -> SelectionComputation:
-            return sel_bind(
-                bool_probe(eff),
-                lambda b: sel_bind(probe_line(b), lambda _: sel_map(kk(dummy), lambda _: b)),
-            )
-
-        return sel_sequence([per_variable(i) for i in range(formula.arity)], eff)
-
-    def call_line(bits: Assignment) -> SelectionComputation:
-        if bits is dummy:
-            return dummy_call
-        return log(f"Continuation called with {format_assignment(bits)}")
-
-    program = sel_bind(
-        callcc_selection(step, eff),
-        lambda bits: sel_map(call_line(bits), lambda _: bits),
+    # Everything below that depends on neither the probed value nor the
+    # assignment is built once per search: the dummy's answer here, and in
+    # ``step`` the call of the continuation on the dummy, the after-probe
+    # computations of the bool singletons and the per-variable stage.
+    dummy_answer = sel_map(
+        log(f"Continuation called with {format_assignment(dummy)}"), lambda _: dummy
     )
 
-    outcome = run_selection(program, lambda bits: eff.unit(formula.evaluate(bits)))
-    return list(outcome.log), outcome.value
+    def step(kk: Callable[[Assignment], SelectionComputation]) -> SelectionComputation:
+        resume = kk(dummy)
+
+        def after(b: object) -> SelectionComputation:
+            return sel_bind(log(f"b = {b}, "), lambda _: sel_map(resume, lambda _: b))
+
+        # Shared only for True and False themselves (by ``is``), so a formula
+        # that answers 0 or 1 still logs ``b = 0, `` or ``b = 1, ``.
+        after_true, after_false = after(True), after(False)
+
+        def after_probe(b: object) -> SelectionComputation:
+            if b is True:
+                return after_true
+            if b is False:
+                return after_false
+            return after(b)
+
+        stage = sel_bind(bool_probe(eff), after_probe)
+        return sel_sequence([stage] * formula.arity, eff)
+
+    def answer(bits: Assignment) -> SelectionComputation:
+        if bits is dummy:
+            return dummy_answer
+        return sel_map(log(f"Continuation called with {format_assignment(bits)}"), lambda _: bits)
+
+    program = sel_bind(callcc_selection(step, eff), answer)
+    return run_selection(program, lambda bits: eff.unit(formula.evaluate(bits)))
 
 
 def sat_oracle(formula: BooleanFormula) -> Assignment | None:

@@ -1,7 +1,13 @@
 """Tests for the three effect instances: identity, trace, nondeterminism."""
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import itertools
+import pickle
+import random
+from typing import Generic, TypeVar
 
 import pytest
 from hypothesis import example, given, settings
@@ -367,3 +373,132 @@ class TestThreeArgumentEffects:
         assert derived == base and hash(derived) == hash(base)
         assert EffectInstance(base.name, base.unit, base.bind, lambda m, g: m) == base
         assert EffectInstance(base.name, base.unit, lambda m, f: f(m)) != base
+
+
+A = TypeVar("A")
+
+
+# What ``TraceValue`` and ``NondetValue`` are without their hand-written
+# ``__init__``: plain frozen slots dataclasses with the same fields.
+@dataclasses.dataclass(frozen=True, slots=True)
+class _PlainTrace(Generic[A]):
+    log: tuple[str, ...]
+    value: A
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _PlainNondet(Generic[A]):
+    alternatives: tuple[A, ...]
+
+
+_PLAIN = {TraceValue: _PlainTrace, NondetValue: _PlainNondet}
+
+# Values equal across types, a NaN that equals only itself, and unhashable
+# ones (lists, a dict, a value equal to the int 3).
+_FIELD_VALUES = (0, 1, True, False, 1.0, 3, _NAN, "a", "", None, (1, True), [1], [], {"k": 1}, _EQUALS_THREE)
+
+
+def _seeded_fields(cls, seed: int, count: int) -> list[tuple]:
+    rng = random.Random(seed)
+    if cls is TraceValue:
+        return [
+            (tuple(rng.choices(("a", "b", ""), k=rng.randint(0, 2))), rng.choice(_FIELD_VALUES))
+            for _ in range(count)
+        ]
+    return [(tuple(rng.choices(_FIELD_VALUES, k=rng.randint(0, 3))),) for _ in range(count)]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``'s value, or the type of the exception it raises."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return "raises", type(exc)
+
+
+def _shown(obj) -> str:
+    return repr(obj).removeprefix(type(obj).__name__)
+
+
+def _observe(obj) -> list:
+    """Everything a caller can see of a value, its class name left out."""
+    names = [f.name for f in dataclasses.fields(obj)]
+    seen = [
+        _outcome(_shown, obj),
+        _outcome(hash, obj),
+        *(_outcome(getattr, obj, name) for name in names),
+        *(_outcome(setattr, obj, name, 0) for name in names + ["other"]),
+        *(_outcome(delattr, obj, name) for name in names + ["other"]),
+    ]
+    for remake in (dataclasses.replace, copy.copy, lambda v: pickle.loads(pickle.dumps(v))):
+        made = _outcome(remake, obj)
+        if made[0] == "raises":
+            seen.append(made)
+        else:
+            seen += [type(made[1]) is type(obj), _outcome(made[1].__eq__, obj), _outcome(_shown, made[1])]
+    return seen
+
+
+def _assert_behaves_like_a_plain_dataclass(cls, seed: int, count: int = 150) -> None:
+    """Values built from seeded fields store exactly those fields, stay
+    frozen, and look and compare as the plain dataclass twin's do."""
+    plain = _PLAIN[cls]
+    fields = _seeded_fields(cls, seed, count)
+    values, twins = [cls(*f) for f in fields], [plain(*f) for f in fields]
+    names = [f.name for f in dataclasses.fields(cls)]
+    for args, value, twin in zip(fields, values, twins):
+        assert _observe(value) == _observe(twin), args
+        assert [_outcome(getattr, value, name) for name in names] == [("value", arg) for arg in args]
+        # Only the fields: on Python 3.11 a frozen slots dataclass raises
+        # TypeError for any other name, as ``_observe`` shows for both.
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+    for i, j in itertools.product(range(count), range(0, count, 7)):
+        assert (values[i] == values[j]) == (twins[i] == twins[j]), (fields[i], fields[j])
+        assert (values[i] != values[j]) == (twins[i] != twins[j]), (fields[i], fields[j])
+
+
+def _stores_the_value_in_the_log_slot(self, log, value):
+    effects._set_log(self, value)
+    effects._set_value(self, value)
+
+
+def _skips_the_value(self, log, value):
+    effects._set_log(self, log)
+
+
+def _skips_the_alternatives(self, alternatives):
+    pass
+
+
+class TestValueTypesBehaveLikePlainDataclasses:
+    """``TraceValue`` and ``NondetValue`` store their fields through their
+    slots; nothing else about them may differ from a plain frozen slots
+    dataclass."""
+
+    @pytest.mark.parametrize("cls", [TraceValue, NondetValue], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_values_behave_like_the_plain_twin(self, cls, seed):
+        _assert_behaves_like_a_plain_dataclass(cls, seed)
+
+    @pytest.mark.parametrize("cls", [TraceValue, NondetValue], ids=lambda cls: cls.__name__)
+    def test_signature_matches_the_plain_twin(self, cls):
+        assert inspect.signature(cls) == inspect.signature(_PLAIN[cls])
+        assert inspect.signature(cls.__init__) == inspect.signature(_PLAIN[cls].__init__)
+
+    @pytest.mark.parametrize(
+        "cls, broken",
+        [
+            (TraceValue, _stores_the_value_in_the_log_slot),
+            (TraceValue, _skips_the_value),
+            (NondetValue, _skips_the_alternatives),
+        ],
+        ids=["value-in-the-log-slot", "skips-the-value", "skips-the-alternatives"],
+    )
+    def test_a_broken_init_is_caught(self, cls, broken, monkeypatch):
+        monkeypatch.setattr(cls, "__init__", broken)
+        with pytest.raises(AssertionError):
+            _assert_behaves_like_a_plain_dataclass(cls, seed=0)

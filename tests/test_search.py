@@ -1,8 +1,10 @@
 """Tests for the probe selection and the three SAT entry points."""
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import textwrap
 
 import pytest
 from hypothesis import given
@@ -11,13 +13,20 @@ from hypothesis import strategies as st
 from selcc import (
     BooleanFormula,
     bool_probe,
+    callcc_selection,
     format_assignment,
     run_selection,
     sat_callcc,
     sat_oracle,
     sat_product,
+    sel_bind,
+    sel_lift,
+    sel_map,
     sel_sequence,
+    tell,
+    trace_effect,
 )
+from selcc import search
 
 _TARGET = BooleanFormula(3, lambda b: b[0] and not b[1] and b[2])
 
@@ -236,3 +245,120 @@ class TestSatProductEvaluationCounts:
         probes = [bool_probe() for _ in range(20)]
         assert run_selection(sel_sequence(probes), formula.evaluate) == (True,) * 20
         assert calls[0] == 20
+
+
+def _reference_sat_callcc(formula: BooleanFormula):
+    """``sat_callcc`` as it was before it built its fixed stages once per
+    search: every continuation call rebuilds its per-variable stage, its
+    after-probe computation and its call of the continuation on the dummy."""
+    eff = trace_effect()
+    dummy = (False,) * formula.arity
+
+    def log(line):
+        return sel_lift(tell(line), eff)
+
+    probe_true, probe_false = log("b = True, "), log("b = False, ")
+    dummy_call = log(f"Continuation called with {format_assignment(dummy)}")
+
+    def probe_line(b):
+        if b is True:
+            return probe_true
+        if b is False:
+            return probe_false
+        return log(f"b = {b}, ")
+
+    def step(kk):
+        def per_variable(_):
+            return sel_bind(
+                bool_probe(eff),
+                lambda b: sel_bind(probe_line(b), lambda _: sel_map(kk(dummy), lambda _: b)),
+            )
+
+        return sel_sequence([per_variable(i) for i in range(formula.arity)], eff)
+
+    def call_line(bits):
+        if bits is dummy:
+            return dummy_call
+        return log(f"Continuation called with {format_assignment(bits)}")
+
+    program = sel_bind(
+        callcc_selection(step, eff),
+        lambda bits: sel_map(call_line(bits), lambda _: bits),
+    )
+    outcome = run_selection(program, lambda bits: eff.unit(formula.evaluate(bits)))
+    return list(outcome.log), outcome.value
+
+
+# What a formula may answer: bools, the ints 0 and 1 that equal them, and
+# values that equal neither (2, "", None).
+_ANSWERS = {
+    "bool": (False, True),
+    "int": (0, 1),
+    "mixed": (False, True, 0, 1, 2, "", None),
+}
+
+
+def _seeded_formulas(seed: int, count: int) -> list[tuple[str, BooleanFormula]]:
+    """Random tables over the truth of each bit, 1-8 variables; the bool
+    tables run from unsatisfiable (density 0) to dense."""
+    rng = random.Random(seed)
+    formulas = []
+    for index in range(count):
+        arity = rng.randint(1, 8)
+        kind = ("bool", "int", "mixed")[index % 3]
+        if kind == "bool":
+            density = rng.choice((0.0, 0.0, 0.01, 0.1, 0.5))
+            table = [rng.random() < density for _ in range(2**arity)]
+        else:
+            table = rng.choices(_ANSWERS[kind], k=2**arity)
+
+        def evaluate(bits, table=table):
+            return table[sum(1 << i for i, bit in enumerate(bits) if bit)]
+
+        formulas.append((kind, BooleanFormula(arity, evaluate)))
+    return formulas
+
+
+def _assert_sat_callcc_matches_the_reference(seed: int = 0, count: int = 300) -> None:
+    kinds = {"bool-unsat": 0, "bool-sat": 0, "int": 0, "mixed": 0}
+    for kind, formula in _seeded_formulas(seed, count):
+        log, bits = sat_callcc(formula)
+        want_log, want_bits = _reference_sat_callcc(formula)
+        assert log == want_log, (formula.arity, kind)
+        # By identity: 1 == True, so equality would not see a swapped value.
+        assert len(bits) == len(want_bits) and all(map(lambda a, b: a is b, bits, want_bits))
+        if kind == "bool":
+            kind += "-sat" if sat_oracle(formula) is not None else "-unsat"
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+def _sat_callcc_outcome_mutant(*edits: tuple[str, str]):
+    """``search._sat_callcc_outcome`` with each ``(old, new)`` edit made to
+    its source."""
+    source = textwrap.dedent(inspect.getsource(search._sat_callcc_outcome))
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new)
+    namespace = dict(vars(search))
+    exec(compile(source, search.__file__, "exec"), namespace)
+    return namespace["_sat_callcc_outcome"]
+
+
+class TestSatCallccAgainstTheReference:
+    """The search builds its fixed stages once; its logs and answers must be
+    those of the program that rebuilt them on every continuation call."""
+
+    def test_seeded_formulas_log_and_answer_as_the_reference(self):
+        _assert_sat_callcc_matches_the_reference()
+
+    def test_the_int_valued_formula_matches_the_reference(self):
+        assert sat_callcc(_INT_VALUED) == _reference_sat_callcc(_INT_VALUED)
+
+    def test_reusing_the_bool_stages_for_0_and_1_is_caught(self, monkeypatch):
+        by_equality = _sat_callcc_outcome_mutant(
+            ("if b is True:", "if b == True:"), ("if b is False:", "if b == False:")
+        )
+        monkeypatch.setattr(search, "_sat_callcc_outcome", by_equality)
+        with pytest.raises(AssertionError):
+            _assert_sat_callcc_matches_the_reference()
