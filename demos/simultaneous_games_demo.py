@@ -1,8 +1,9 @@
 """Simultaneous games and voting agents over the nondeterminism effect.
 
 Two argmax players that each keep *every* best response are combined into a
-selection over move pairs; the pairs where both players are happy with their
-own component are exactly the pure Nash equilibria.  The same effect also
+selection over move pairs (``simultaneous_equilibria``); the pairs where both
+players are happy with their own component are exactly the pure Nash
+equilibria.  The same effect also
 hosts the two voting agents: the conformist who wants to pick the winner and
 the contrarian who wants anything but.
 """
@@ -13,24 +14,14 @@ from selcc import (
     SimultaneousGameSpec,
     fix_selection,
     nash_oracle,
-    nondet_argmax_selection,
     punk_selection,
     run_selection,
-    sum_selections,
+    simultaneous_equilibria,
 )
 
 
-def equilibria(game: SimultaneousGameSpec) -> tuple[tuple[str, str], ...]:
-    row_moves, col_moves = game.moves
-    eps = nondet_argmax_selection(row_moves, key=lambda u: u[0])
-    delta = nondet_argmax_selection(col_moves, key=lambda u: u[1])
-    combined = sum_selections(eps, delta, row_moves, col_moves)
-    chosen = run_selection(combined, lambda pair: NondetValue((game.payoff(*pair),)))
-    return chosen.alternatives
-
-
 def show(title: str, game: SimultaneousGameSpec) -> None:
-    found = equilibria(game)
+    found = simultaneous_equilibria(game)
     print(f"== {title} ==")
     if found:
         for x, y in found:

@@ -365,8 +365,12 @@ class Monad(NamedTuple):
 
     ``unit(x, eff)``, ``bind(m, f)``, ``lift(m, eff)`` and ``run(m, k)`` are
     the monad's own functions, and ``computation`` is the class that wraps a
-    raw function of the continuation.  Code written over the record names no
-    monad: :data:`SELECTION` and :data:`QUANTIFIER` are its two instances.
+    raw function of the continuation.  ``carrier(domain, results)`` is where
+    a computation over ``domain`` with continuation results in ``results``
+    answers: ``domain`` (X) for a selection, ``results`` (R) for a
+    quantifier.  A computation of either monad is a raw function of the
+    continuation, and their shapes differ only in this.  Code written over the record names no monad:
+    :data:`SELECTION` and :data:`QUANTIFIER` are its two instances.
     """
 
     name: str
@@ -375,9 +379,14 @@ class Monad(NamedTuple):
     lift: Callable[[Any, EffectInstance], Any]
     run: Callable[[Any, Continuation], Any]
     computation: type
+    carrier: Callable[[Any, Any], Any]
 
 
-SELECTION = Monad("selection", sel_unit, sel_bind, sel_lift, run_selection, SelectionComputation)
+SELECTION = Monad(
+    "selection", sel_unit, sel_bind, sel_lift, run_selection, SelectionComputation,
+    lambda domain, results: domain,
+)
 QUANTIFIER = Monad(
-    "quantifier", quant_unit, quant_bind, quant_lift, run_quantifier, QuantifierComputation
+    "quantifier", quant_unit, quant_bind, quant_lift, run_quantifier, QuantifierComputation,
+    lambda domain, results: results,
 )

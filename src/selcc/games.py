@@ -7,7 +7,9 @@ taking the product of per-stage players (:func:`backward_induction`); context-
 dependent agents such as :func:`fix_selection` (vote for the winner) and
 :func:`punk_selection` (vote against the winner) live over the
 nondeterminism effect, as does :func:`sum_selections`, which combines two
-players of a simultaneous game into a selection over move pairs.
+players of a simultaneous game into a selection over move pairs; the sum of
+two nondeterministic argmax players solves a simultaneous game
+(:func:`simultaneous_equilibria`).
 
 Utilities are integers throughout: comparisons stay exact and tie-breaks stay
 deterministic, which the differential oracles rely on.
@@ -298,6 +300,26 @@ def sum_selections(
         ))
 
     return SelectionComputation(chooser, nondet_effect())
+
+
+def simultaneous_equilibria(game: SimultaneousGameSpec) -> tuple[tuple[str, str], ...]:
+    """Solve a simultaneous game as the sum of two nondeterministic argmax
+    players, the twin of :func:`backward_induction`.
+
+    Each player keeps every move that maximises their own coordinate of the
+    payoff against the other's move, and :func:`sum_selections` keeps the pairs that both keep: the
+    pure Nash equilibria in domain-product order, as :func:`nash_oracle`
+    lists them, or none.
+    """
+    row_moves, col_moves = game.moves
+    eps = nondet_argmax_selection(row_moves, key=lambda utilities: utilities[0])
+    delta = nondet_argmax_selection(col_moves, key=lambda utilities: utilities[1])
+    payoff = game.payoff
+    chosen = run_selection(
+        sum_selections(eps, delta, row_moves, col_moves),
+        lambda pair: NondetValue((payoff(*pair),)),
+    )
+    return chosen.alternatives
 
 
 def nash_oracle(game: SimultaneousGameSpec) -> tuple[tuple[str, str], ...]:

@@ -10,6 +10,14 @@ subcommand.  Two kinds of sweep are used:
 * seeded randomized sweeps over the trace and nondeterminism effects, whose
   value spaces (logs, alternative sets) are unbounded.
 
+Each fixture is written once for both monads: a computation over ``domain``
+answers in the monad's ``carrier`` (the domain for a selection, the results
+for a quantifier), which is all that tells the two apart, so one table
+enumerator (:func:`_table_computations`) and one random generator per effect
+serve both.  Each randomized effect is one :class:`_RandomEffect` record (the
+effect, a random value of it, a random computation over it), and the
+randomized sweeps loop over the records.
+
 Performance note: each law has one exhaustive sweep (:func:`_left_unit`,
 :func:`_right_unit`, :func:`_assoc`), shared by the identity, trace and
 nondet effects and by both monads.  It runs over :class:`_Tabulation`, which
@@ -38,14 +46,12 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .core import (
     QUANTIFIER,
     SELECTION,
     Monad,
-    QuantifierComputation,
-    SelectionComputation,
     quant_bind,
     quant_unit,
     run_quantifier,
@@ -70,9 +76,8 @@ from .games import (
     backward_induction_oracle,
     fix_selection,
     nash_oracle,
-    nondet_argmax_selection,
     punk_selection,
-    sum_selections,
+    simultaneous_equilibria,
 )
 from .search import BooleanFormula, bool_probe, sat_oracle, sat_product
 
@@ -121,17 +126,13 @@ def _table_fn(table: tuple[int, ...], n: int, r: int) -> Callable[[Callable[[int
     return fn
 
 
-def _table_selections(n: int, r: int) -> list[SelectionComputation]:
+def _table_computations(monad: Monad, n: int, r: int) -> list[Any]:
+    """Every computation of ``monad`` over ``range(n)`` with results in
+    ``range(r)``: one per table from continuation values to the carrier."""
+    answers = monad.carrier(range(n), range(r))
     return [
-        SelectionComputation(_table_fn(table, n, r), _IDENTITY)
-        for table in itertools.product(range(n), repeat=r**n)
-    ]
-
-
-def _table_quantifiers(n: int, r: int) -> list[QuantifierComputation]:
-    return [
-        QuantifierComputation(_table_fn(table, n, r), _IDENTITY)
-        for table in itertools.product(range(r), repeat=r**n)
+        monad.computation(_table_fn(table, n, r), _IDENTITY)
+        for table in itertools.product(answers, repeat=r**n)
     ]
 
 
@@ -271,11 +272,11 @@ def _gather(ids: tuple[int, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     return operator.itemgetter(*ids)
 
 
-def _exhaustive_reports(monad: Monad, tables: Callable[[int, int], list[Any]]) -> list[LawReport]:
+def _exhaustive_reports(monad: Monad) -> list[LawReport]:
     """The three monad laws of ``monad`` over every carrier size up to 2.
 
-    ``tables(n, r)`` enumerates every computation over ``range(n)`` with
-    results in ``range(r)``; they are tabulated on every continuation, and
+    Every computation over ``range(n)`` with results in ``range(r)``
+    (:func:`_table_computations`) is tabulated on every continuation, and
     the laws run over every size of each carrier and of the results.
     """
     run = monad.run
@@ -284,8 +285,9 @@ def _exhaustive_reports(monad: Monad, tables: Callable[[int, int], list[Any]]) -
     def tab(n: int, r: int) -> _Tabulation:
         if (n, r) not in tabulations:
             conts = _continuations(n, r)
+            comps = _table_computations(monad, n, r)
             tabulations[n, r] = _Tabulation(
-                lambda comp: tuple([run(comp, k) for k in conts]), len(conts), tables(n, r), n
+                lambda comp: tuple([run(comp, k) for k in conts]), len(conts), comps, n
             )
         return tabulations[n, r]
 
@@ -310,12 +312,12 @@ def selection_monad_reports() -> list[LawReport]:
     All carrier sizes up to 2 (values, both intermediate stages, and results),
     all choosers, Kleisli maps, and continuations as finite tables.
     """
-    return _exhaustive_reports(SELECTION, _table_selections)
+    return _exhaustive_reports(SELECTION)
 
 
 def quantifier_monad_reports() -> list[LawReport]:
     """Exhaustive identity-effect law sweeps for the quantifier monad."""
-    return _exhaustive_reports(QUANTIFIER, _table_quantifiers)
+    return _exhaustive_reports(QUANTIFIER)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +387,11 @@ def _random_trace_computation(
     monad: Monad,
     rng: random.Random,
     domain: Sequence[int],
-    answers: Sequence[int],
+    r_values: Sequence[int],
     memo: dict[Any, int],
 ) -> Any:
     """A random trace computation of ``monad``: it answers with the element of
-    ``answers`` picked by a random digest of the continuation over ``domain``,
+    its carrier picked by a random digest of the continuation over ``domain``,
     and logs its own lines after the log of one probed result, if any."""
     coefficients = [rng.randrange(1, 9973) for _ in domain]
     offset = rng.randrange(9973)
@@ -397,7 +399,7 @@ def _random_trace_computation(
     own_log = tuple(f"{monad.name[0]}{rng.randrange(4)}" for _ in range(rng.randrange(2)))
     include_probe = rng.randrange(len(domain) + 1)  # len(domain) means "none"
     points = tuple(domain)
-    answers = tuple(answers)
+    answers = tuple(monad.carrier(domain, r_values))
 
     def fn(k: Callable[[int], TraceValue]) -> TraceValue:
         results = [k(x) for x in points]
@@ -412,67 +414,54 @@ def _random_trace_computation(
     return monad.computation(fn, _TRACE)
 
 
-def _random_nondet_selection(
-    rng: random.Random, domain: Sequence[int], r_values: Sequence[int], memo: dict[Any, int]
-) -> SelectionComputation:
+def _random_nondet_computation(
+    monad: Monad,
+    rng: random.Random,
+    domain: Sequence[int],
+    r_values: Sequence[int],
+    memo: dict[Any, int],
+) -> Any:
+    """A random nondet computation of ``monad``: it answers with those
+    alternatives of one probed result, if any, that lie in its carrier, then
+    with the other carrier elements that a random digest of the continuation
+    over ``domain`` keeps."""
     coefficients = [rng.randrange(1, 9973) for _ in domain]
     offset = rng.randrange(9973)
     keep_mod = rng.randrange(2, 4)
+    merge_probe = rng.randrange(len(domain) + 1)  # len(domain) means "none"
     points = tuple(domain)
+    answers = tuple(monad.carrier(domain, r_values))
 
-    def chooser(k: Callable[[int], NondetValue]) -> NondetValue:
-        digests = [_digest(k(x), memo) for x in points]
-        total = (offset + sum(c * d for c, d in zip(coefficients, digests))) % 9973
-        alternatives = tuple(
-            x
-            for x, c, d in zip(points, coefficients, digests)
-            if (total + c + d) % keep_mod != 0
-        )
-        return NondetValue(alternatives)
-
-    return SelectionComputation(chooser, _NONDET)
-
-
-def _random_nondet_quantifier(
-    rng: random.Random, domain: Sequence[int], r_values: Sequence[int], memo: dict[Any, int]
-) -> QuantifierComputation:
-    coefficients = [rng.randrange(1, 9973) for _ in domain]
-    offset = rng.randrange(9973)
-    keep_mod = rng.randrange(2, 4)
-    merge_probe = rng.randrange(len(domain) + 1)
-    values = tuple(r_values)
-    points = tuple(domain)
-
-    def runner(k: Callable[[int], NondetValue]) -> NondetValue:
+    def fn(k: Callable[[int], NondetValue]) -> NondetValue:
         results = [k(x) for x in points]
         total = (
             offset + sum(c * _digest(res, memo) for c, res in zip(coefficients, results))
         ) % 9973
-        own = [v for i, v in enumerate(values) if (total + i) % keep_mod != 0]
         merged: list[int] = []
         if merge_probe < len(points):
-            merged.extend(results[merge_probe].alternatives)
-        for v in own:
-            if v not in merged:
+            merged.extend(filter(answers.__contains__, results[merge_probe].alternatives))
+        for i, v in enumerate(answers):
+            if (total + i) % keep_mod != 0 and v not in merged:
                 merged.append(v)
         return NondetValue(tuple(merged))
 
-    return QuantifierComputation(runner, _NONDET)
+    return monad.computation(fn, _NONDET)
 
 
-# Random computations by monad and effect, as (rng, domain, result values,
-# digest memo) -> computation.  A selection answers with a point of its domain and a
-# quantifier with a result value; over nondet each has its own generator.
-_RANDOM_COMPUTATIONS: dict[tuple[str, str], Callable[..., Any]] = {
-    ("selection", "Trace"): lambda rng, xs, rs, memo: _random_trace_computation(
-        SELECTION, rng, xs, xs, memo
-    ),
-    ("quantifier", "Trace"): lambda rng, xs, rs, memo: _random_trace_computation(
-        QUANTIFIER, rng, xs, rs, memo
-    ),
-    ("selection", "Nondet"): _random_nondet_selection,
-    ("quantifier", "Nondet"): _random_nondet_quantifier,
-}
+class _RandomEffect(NamedTuple):
+    """What the randomized sweeps draw over one effect: ``value(rng,
+    r_values)`` is a random effect value over the results, and
+    ``computation(monad, rng, domain, r_values, memo)`` a random computation
+    of ``monad``, whose choosers digest their continuation results through
+    ``memo``."""
+
+    effect: EffectInstance
+    value: Callable[[random.Random, Sequence[int]], Any]
+    computation: Callable[..., Any]
+
+
+_RANDOM_TRACE = _RandomEffect(_TRACE, _random_trace_eff_value, _random_trace_computation)
+_RANDOM_NONDET = _RandomEffect(_NONDET, _random_nondet_eff_value, _random_nondet_computation)
 
 
 def _check_samples(samples: int) -> None:
@@ -481,13 +470,13 @@ def _check_samples(samples: int) -> None:
 
 
 def _randomized_monad_failures(
-    monad: Monad, eff: EffectInstance, law: str, seed: int, samples: int
+    monad: Monad, fixture: _RandomEffect, law: str, seed: int, samples: int
 ) -> tuple[int, int]:
-    """Cases and failures of one law of ``monad`` over ``eff`` (the trace or
-    the nondet effect) on ``samples`` random cases drawn from ``seed``."""
+    """Cases and failures of one law of ``monad`` over ``fixture``'s effect
+    on ``samples`` random cases drawn from ``seed``."""
+    eff = fixture.effect
     rng = random.Random(repr((seed, monad.name, eff.name, law)))
-    rand_comp = _RANDOM_COMPUTATIONS[monad.name, eff.name]
-    rand_eff_value = _random_trace_eff_value if eff is _TRACE else _random_nondet_eff_value
+    rand_comp, rand_eff_value = fixture.computation, fixture.value
     unit, bind, run = monad.unit, monad.bind, monad.run
     memo: dict[Any, int] = {}  # digests of this sweep's tuples, for its computations
     failures = 0
@@ -500,7 +489,7 @@ def _randomized_monad_failures(
         zs = tuple(range(nz))
         r_values = tuple(range(rng.randrange(1, 4)))
         if law == "left unit":
-            target = [rand_comp(rng, ys, r_values, memo) for _ in xs]
+            target = [rand_comp(monad, rng, ys, r_values, memo) for _ in xs]
             f = target.__getitem__
             x = rng.randrange(nx)
             k_table = [rand_eff_value(rng, r_values) for _ in ys]
@@ -508,15 +497,15 @@ def _randomized_monad_failures(
             if run(bind(unit(x, eff), f), k) != run(f(x), k):
                 failures += 1
         elif law == "right unit":
-            eps = rand_comp(rng, xs, r_values, memo)
+            eps = rand_comp(monad, rng, xs, r_values, memo)
             k_table = [rand_eff_value(rng, r_values) for _ in xs]
             k = k_table.__getitem__
             if run(bind(eps, lambda x: unit(x, eff)), k) != run(eps, k):
                 failures += 1
         else:  # associativity
-            eps = rand_comp(rng, xs, r_values, memo)
-            f_list = [rand_comp(rng, ys, r_values, memo) for _ in xs]
-            g_list = [rand_comp(rng, zs, r_values, memo) for _ in ys]
+            eps = rand_comp(monad, rng, xs, r_values, memo)
+            f_list = [rand_comp(monad, rng, ys, r_values, memo) for _ in xs]
+            g_list = [rand_comp(monad, rng, zs, r_values, memo) for _ in ys]
             f = f_list.__getitem__
             g = g_list.__getitem__
             k_table = [rand_eff_value(rng, r_values) for _ in zs]
@@ -538,11 +527,11 @@ def randomized_monad_reports(seed: int = 0, samples: int = 1000) -> list[LawRepo
     _check_samples(samples)
     return [
         LawReport(
-            f"{monad.name} {law} (randomized, {eff.name.lower()})",
-            *_randomized_monad_failures(monad, eff, law, seed, samples),
+            f"{monad.name} {law} (randomized, {fixture.effect.name.lower()})",
+            *_randomized_monad_failures(monad, fixture, law, seed, samples),
         )
         for monad in (SELECTION, QUANTIFIER)
-        for eff in (_TRACE, _NONDET)
+        for fixture in (_RANDOM_TRACE, _RANDOM_NONDET)
         for law in ("left unit", "right unit", "associativity")
     ]
 
@@ -657,8 +646,8 @@ def _morphism_unit() -> tuple[int, int]:
 def _morphism_bind() -> tuple[int, int]:
     cases = failures = 0
     for nx, ny, nr in itertools.product(_EXHAUSTIVE_SIZES, repeat=3):
-        xs = _table_selections(nx, nr)
-        ys = _table_selections(ny, nr)
+        xs = _table_computations(SELECTION, nx, nr)
+        ys = _table_computations(SELECTION, ny, nr)
         conts = _continuations(ny, nr)
         for combo in itertools.product(ys, repeat=nx):
             f = combo.__getitem__
@@ -813,10 +802,6 @@ def sum_equilibria_report() -> LawReport:
     over every 2x2 game with utilities in {0,1,2}."""
     moves = ("a", "b")
     cells = list(itertools.product(moves, moves))
-    eff = _NONDET
-    eps = nondet_argmax_selection(moves, key=lambda u: u[0])
-    delta = nondet_argmax_selection(moves, key=lambda u: u[1])
-    combined = sum_selections(eps, delta, moves, moves)
     utility_pairs = list(itertools.product((0, 1, 2), repeat=2))
     cases = failures = 0
     for payoff_combo in itertools.product(utility_pairs, repeat=len(cells)):
@@ -826,9 +811,8 @@ def sum_equilibria_report() -> LawReport:
             moves=(moves, moves),
             payoff=lambda x, y, table=table: table[(x, y)],
         )
-        chosen = run_selection(combined, lambda pair: eff.unit(table[pair])).alternatives
         cases += 1
-        if chosen != nash_oracle(game):
+        if simultaneous_equilibria(game) != nash_oracle(game):
             failures += 1
     return LawReport("sum of argmax players vs nash oracle (6561 games)", cases, failures)
 

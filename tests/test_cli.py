@@ -38,7 +38,12 @@ from selcc import (
     sat_product,
 )
 from selcc import cli
-from selcc.cli import MAX_DEMO_SAT_VARS, MAX_FORMULA_DEPTH, MAX_SEQUENTIAL_STAGES
+from selcc.cli import (
+    MAX_DEMO_SAT_VARS,
+    MAX_FORMULA_DEPTH,
+    MAX_LAW_SAMPLES,
+    MAX_SEQUENTIAL_STAGES,
+)
 
 _SEQ_DOC = {
     "type": "sequential",
@@ -954,6 +959,30 @@ class TestLawsCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "--samples" in captured.err
+
+    def test_samples_up_to_the_limit_are_accepted(self, capsys, monkeypatch):
+        seen = []
+
+        def run_all(seed, samples):
+            seen.append(samples)
+            return [LawReport("good", samples, 0)]
+
+        monkeypatch.setattr("selcc.cli.run_all", run_all)
+        assert main(["laws", "--samples", str(MAX_LAW_SAMPLES)]) == 0
+        assert seen == [MAX_LAW_SAMPLES]
+        assert capsys.readouterr().err == ""
+
+    def test_samples_above_the_limit_are_rejected(self, capsys, monkeypatch):
+        def run_all(seed, samples):
+            raise AssertionError("no suite may run")
+
+        monkeypatch.setattr("selcc.cli.run_all", run_all)
+        assert main(["laws", "--samples", str(MAX_LAW_SAMPLES + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --samples is {MAX_LAW_SAMPLES + 1}; the limit is {MAX_LAW_SAMPLES}\n"
+        )
 
     def test_full_run_on_the_real_suites_succeeds(self, capsys):
         assert main(["laws", "--samples", "5"]) == 0

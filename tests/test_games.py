@@ -24,6 +24,7 @@ from selcc import (
     punk_selection,
     run_quantifier,
     run_selection,
+    simultaneous_equilibria,
     sum_selections,
     trace_effect,
 )
@@ -65,17 +66,6 @@ def _matching_pennies() -> SimultaneousGameSpec:
         moves=(("H", "T"), ("H", "T")),
         payoff=lambda x, y: (1, -1) if x == y else (-1, 1),
     )
-
-
-def _equilibria_of(game: SimultaneousGameSpec) -> tuple[tuple[str, str], ...]:
-    row_moves, col_moves = game.moves
-    eps = nondet_argmax_selection(row_moves, key=lambda u: u[0])
-    delta = nondet_argmax_selection(col_moves, key=lambda u: u[1])
-    combined = sum_selections(eps, delta, row_moves, col_moves)
-    chosen = run_selection(
-        combined, lambda pair: NondetValue((game.payoff(*pair),))
-    )
-    return chosen.alternatives
 
 
 class TestArgmax:
@@ -488,18 +478,18 @@ class TestBackwardInductionPayoffCounts:
 
 class TestSimultaneousGames:
     def test_matching_pennies_has_no_equilibrium(self):
-        assert _equilibria_of(_matching_pennies()) == ()
+        assert simultaneous_equilibria(_matching_pennies()) == ()
         assert nash_oracle(_matching_pennies()) == ()
 
     def test_coordination_has_both_agreements(self):
-        assert _equilibria_of(_coordination_game()) == (("A", "A"), ("B", "B"))
+        assert simultaneous_equilibria(_coordination_game()) == (("A", "A"), ("B", "B"))
         assert nash_oracle(_coordination_game()) == (("A", "A"), ("B", "B"))
 
     def test_singleton_domains_always_pair_up(self):
         game = SimultaneousGameSpec(
             ("Row", "Col"), (("x",), ("y",)), lambda *_: (0, 0)
         )
-        assert _equilibria_of(game) == (("x", "y"),)
+        assert simultaneous_equilibria(game) == (("x", "y"),)
 
     def test_constant_payoffs_make_every_pair_an_equilibrium(self):
         game = SimultaneousGameSpec(
@@ -507,7 +497,7 @@ class TestSimultaneousGames:
         )
         expected = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
         assert nash_oracle(game) == expected
-        assert _equilibria_of(game) == expected
+        assert simultaneous_equilibria(game) == expected
 
     def test_players_combine_to_exactly_the_oracle_on_random_games(self):
         rng = random.Random(7)
@@ -522,7 +512,7 @@ class TestSimultaneousGames:
                 (("A", "B"), ("A", "B")),
                 lambda x, y: table[(x, y)],
             )
-            assert _equilibria_of(game) == nash_oracle(game)
+            assert simultaneous_equilibria(game) == nash_oracle(game)
 
     @pytest.mark.parametrize("which", ["x_domain", "y_domain"])
     def test_sum_rejects_a_repeated_move(self, which):

@@ -8,9 +8,10 @@ that interns nothing, on the base effects' real binds and on broken ones.
 Both the exhaustive and the randomized drivers are fed deliberately broken
 binds to show that they report failures, and the morphism and equilibrium
 suites a broken ``to_quantifier`` and ``sum_selections``, patched into the
-names ``selcc.laws`` calls, as the agent, backward-induction and SAT suites
-are fed broken agents, players and solvers; this module also covers every
-other suite, the reporting contract and ``run_all``'s forked child.
+names ``selcc.laws`` and ``selcc.games`` call, as the agent,
+backward-induction and SAT suites are fed broken agents, players and
+solvers; this module also covers every other suite, the reporting contract
+and ``run_all``'s forked child.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from selcc import (
     selection_monad_reports,
     sum_equilibria_report,
 )
-from selcc import laws
+from selcc import games, laws
 from selcc.core import QUANTIFIER, SELECTION
 from selcc.effects import (
     EffectInstance,
@@ -65,10 +66,11 @@ from selcc.laws import (
     _exhaustive_reports,
     _nondet_effect_laws,
     _nondet_sequences,
+    _RANDOM_NONDET,
+    _RANDOM_TRACE,
     _randomized_monad_failures,
+    _table_computations,
     _table_fn,
-    _table_quantifiers,
-    _table_selections,
     _trace_values,
 )
 
@@ -237,17 +239,13 @@ class TestExhaustiveMonadLawsCatchBrokenBinds:
     # associativity.  The failure counts agree with a direct sweep that runs
     # both sides of every case through the broken bind.
     def test_selection_bind_scoring_against_f0(self):
-        reports = _exhaustive_reports(
-            SELECTION._replace(bind=_scores_every_candidate_against_f0), _table_selections
-        )
+        reports = _exhaustive_reports(SELECTION._replace(bind=_scores_every_candidate_against_f0))
         assert [(r.cases, r.failures) for r in reports] == [
             (2131, 0), (69, 16), (4220093, 131072),
         ]
 
     def test_quantifier_bind_sending_k_a_wrong_value(self):
-        reports = _exhaustive_reports(
-            QUANTIFIER._replace(bind=_sends_k_a_wrong_value), _table_quantifiers
-        )
+        reports = _exhaustive_reports(QUANTIFIER._replace(bind=_sends_k_a_wrong_value))
         assert [(r.cases, r.failures) for r in reports] == [
             (2190, 256), (74, 16), (4412552, 672768),
         ]
@@ -259,14 +257,11 @@ class TestExhaustiveMonadSweepsBindOncePerMonad:
     # bound once per monad, across all carrier sizes; runs are the
     # tabulations of the enumerated and the bound computations.
     @pytest.mark.parametrize(
-        "monad, tables, binds, runs",
-        [
-            (SELECTION, _table_selections, 4706, 18764),
-            (QUANTIFIER, _table_quantifiers, 5028, 19526),
-        ],
+        "monad, binds, runs",
+        [(SELECTION, 4706, 18764), (QUANTIFIER, 5028, 19526)],
         ids=["selection", "quantifier"],
     )
-    def test_real_binds_and_runs(self, monad, tables, binds, runs):
+    def test_real_binds_and_runs(self, monad, binds, runs):
         calls = {"bind": 0, "run": 0}
 
         def counting(name, fn):
@@ -277,7 +272,7 @@ class TestExhaustiveMonadSweepsBindOncePerMonad:
             return counted
 
         counted = monad._replace(bind=counting("bind", monad.bind), run=counting("run", monad.run))
-        assert _exhaustive_reports(counted, tables) == _exhaustive_reports(monad, tables)
+        assert _exhaustive_reports(counted) == _exhaustive_reports(monad)
         assert calls == {"bind": binds, "run": runs}
 
 
@@ -304,11 +299,35 @@ def _drops_the_second_pass(eps, f):
     return SelectionComputation(chooser, eps.effect)
 
 
+def _keeps_the_first_alternative(eps, f):
+    """A broken ``sel_bind`` over the nondet effect: the chosen ``x`` still
+    runs through ``f`` a second time, but only that run's first alternative
+    is kept."""
+    bind_m = eps.effect.bind
+
+    def chooser(k):
+        def extended(x):
+            return bind_m(f(x).chooser(k), k)
+
+        def chosen(x):
+            return NondetValue(f(x).chooser(k).alternatives[:1])
+
+        return bind_m(eps.chooser(extended), chosen)
+
+    return SelectionComputation(chooser, eps.effect)
+
+
+def _randomized_counts(monad, fixture, seed):
+    return [
+        _randomized_monad_failures(monad, fixture, law, seed, 1000)
+        for law in ("left unit", "right unit", "associativity")
+    ]
+
+
 class TestRandomizedMonadLawsCatchBrokenBinds:
     # (cases, failures) per law: left unit, right unit, associativity.  The
-    # counts agree with the same seeded sweep run with ``laws.sel_bind``
-    # replaced by the broken bind.  Right unit cannot see this fault: the
-    # second pass of bind(eps, unit) has an empty log.
+    # counts agree with the same seeded sweep run directly on the broken
+    # bind.
     @pytest.mark.parametrize(
         "seed, expected",
         [
@@ -317,11 +336,24 @@ class TestRandomizedMonadLawsCatchBrokenBinds:
         ],
     )
     def test_selection_bind_dropping_the_second_pass(self, seed, expected):
+        # Right unit cannot see this fault: the second pass of
+        # bind(eps, unit) has an empty log.
         broken = SELECTION._replace(bind=_drops_the_second_pass)
-        assert [
-            _randomized_monad_failures(broken, trace_effect(), law, seed, 1000)
-            for law in ("left unit", "right unit", "associativity")
-        ] == expected
+        assert _randomized_counts(broken, _RANDOM_TRACE, seed) == expected
+
+    def test_nondet_selection_bind_keeping_the_first_alternative(self):
+        # Right unit cannot see this fault: the second pass of
+        # bind(eps, unit) has one alternative.
+        broken = SELECTION._replace(bind=_keeps_the_first_alternative)
+        assert _randomized_counts(broken, _RANDOM_NONDET, 0) == [
+            (1000, 389), (1000, 0), (1000, 34),
+        ]
+
+    def test_nondet_quantifier_bind_sending_k_a_wrong_value(self):
+        broken = QUANTIFIER._replace(bind=_sends_k_a_wrong_value)
+        assert _randomized_counts(broken, _RANDOM_NONDET, 0) == [
+            (1000, 131), (1000, 325), (1000, 160),
+        ]
 
 
 def _reference_digest(value):
@@ -440,7 +472,7 @@ def _carriers(effect):
     selections over ``range(n)`` with results in ``range(r)``."""
     wrap = _EFFECTS[effect][0]
     for n, r in itertools.product(_SIZES, repeat=2):
-        yield n, r, [wrap(eps) for eps in _table_selections(n, r)]
+        yield n, r, [wrap(eps) for eps in _table_computations(SELECTION, n, r)]
 
 
 def _functor_law_counts(effect, smap):
@@ -850,7 +882,7 @@ class TestGameSuites:
         assert report.passed
 
     def test_a_sum_without_the_column_check_fails(self, monkeypatch):
-        monkeypatch.setattr(laws, "sum_selections", _drops_the_column_check)
+        monkeypatch.setattr(games, "sum_selections", _drops_the_column_check)
         report = sum_equilibria_report()
         assert (report.cases, report.failures) == (6561, 4698)
 
