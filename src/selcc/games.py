@@ -73,20 +73,23 @@ class SimultaneousGameSpec:
 def _repeated_index(elements: Sequence[Any]) -> int | None:
     """The index of the first element equal to an earlier one, or None.
 
-    Hashable elements are checked through a set; a sequence holding an
-    unhashable element is scanned pairwise instead.
+    Hashable elements are counted through a set first, and scanned one by
+    one only when that shows a repeat; a sequence holding an unhashable
+    element is scanned pairwise instead.
     """
-    seen: set[Any] = set()
     try:
-        for index, element in enumerate(elements):
-            if element in seen:
-                return index
-            seen.add(element)
+        if len(set(elements)) == len(elements):
+            return None
     except TypeError:
         return next(
             (i for i, element in enumerate(elements) if element in elements[:i]), None
         )
-    return None
+    seen: set[Any] = set()
+    for index, element in enumerate(elements):
+        if element in seen:
+            break
+        seen.add(element)
+    return index  # a repeat exists, so the scan stopped at it
 
 
 def _distinct(domain: Sequence[X], what: str) -> tuple[X, ...]:

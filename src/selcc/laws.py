@@ -13,10 +13,12 @@ subcommand.  Two kinds of sweep are used:
 Each fixture is written once for both monads: a computation over ``domain``
 answers in the monad's ``carrier`` (the domain for a selection, the results
 for a quantifier), which is all that tells the two apart, so one table
-enumerator (:func:`_table_computations`) and one random generator per effect
-serve both.  Each randomized effect is one :class:`_RandomEffect` record (the
-effect, a random value of it, a random computation over it), and the
-randomized sweeps loop over the records.
+enumerator (:func:`_table_computations`) and one random generator
+(:func:`_random_computation`) serve both.  Each base effect is one
+:class:`_EffectLaws` record in ``_EFFECTS`` (its value universe, exhaustive
+sizes and random cases, and for the randomized sweeps a random value and
+how a random chooser draws its parameters and answers), and both the
+effect-law and the randomized drivers loop over the records.
 
 Performance note: each law has one exhaustive sweep (:func:`_left_unit`,
 :func:`_right_unit`, :func:`_assoc`), shared by the identity, trace and
@@ -32,16 +34,17 @@ ids of what it has bound (:meth:`_Tabulation.bind_row`), and a monad's
 tabulations live for its whole sweep, so a composed computation is bound once
 per monad across every carrier size, not once per size combination.  The
 selection and quantifier sweeps cover 4.2 and 4.4 million cases with 4,706
-and 5,028 binds and 18,764 and 19,526 runs on a continuation, in about 0.12 s
-each; the three base effects take about 0.2 s, of which the trace effect's
-447,600 cases take 0.15–0.2 s against 2.5 s for a direct sweep (2-core Linux
-x86-64, Python 3.11).  :func:`run_all` runs the randomized sweeps, about half
-of a pass, in a forked child beside the other suites, so a pass takes about
-half its serial time on two cores; without ``os.fork``, or while another
-thread runs, it runs every suite in turn.
+and 5,028 binds and 18,764 and 19,526 runs on a continuation, in 60–75 ms
+each; the three base effects take about 0.10 s, of which the trace effect's
+447,600 cases take about 65 ms against 0.9 s for a direct sweep (best of 7,
+2-core Linux x86-64, Python 3.11).  :func:`run_all` runs the randomized
+sweeps, about half of a pass, in a forked child beside the other suites, so
+a pass takes about half its serial time on two cores; without ``os.fork``,
+or while another thread runs, it runs every suite in turn.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -321,7 +324,110 @@ def quantifier_monad_reports() -> list[LawReport]:
 
 
 # ---------------------------------------------------------------------------
-# Randomized sweeps over the trace and nondeterminism effects.
+# One record per base effect.
+#
+# Everything the effect-law and randomized drivers know of an effect is in its
+# record, so adding an effect means adding one record to _EFFECTS.  An effect
+# whose values hold a new type also needs a _DIGESTS entry.
+# ---------------------------------------------------------------------------
+
+
+class _EffectLaws(NamedTuple):
+    """The law fixtures of one base effect.
+
+    ``report`` names its effect-law report.  ``values(n)`` is its value
+    universe over ``range(n)``; its laws run exhaustively over every carrier
+    triple in ``sizes``, then on ``samples`` random cases of three laws each
+    at carrier ``max(sizes) + 1``.  The randomized monad sweeps run over the
+    effect when it has ``value``, ``draw`` and ``answer``: ``value(rng,
+    r_values)`` is a random effect value over the results, ``draw(monad,
+    rng)`` draws the effect's own parameters of a random chooser, and
+    ``answer(params, total, answers, probed)`` is the chooser's answer, from
+    those parameters, a digest ``total`` of its continuation results, the
+    elements of its carrier, and one probed result or ``None`` (see
+    :func:`_random_computation`).
+    """
+
+    effect: EffectInstance
+    report: str
+    values: Callable[[int], Sequence[Any]]
+    sizes: tuple[int, ...]
+    samples: int = 0
+    value: Callable[[random.Random, Sequence[int]], Any] | None = None
+    draw: Callable[[Monad, random.Random], Any] | None = None
+    answer: Callable[[Any, int, tuple[Any, ...], Any], Any] | None = None
+
+
+def _trace_values(n: int) -> list[TraceValue]:
+    # Logs are unbounded, so exhaustiveness is over this documented finite
+    # universe: an empty or one-line log crossed with every carrier value.
+    return [TraceValue(log, v) for log in ((), ("line",)) for v in range(n)]
+
+
+def _random_trace_eff_value(rng: random.Random, r_values: Sequence[int]) -> TraceValue:
+    log = tuple(f"t{rng.randrange(4)}" for _ in range(rng.randrange(3)))
+    return TraceValue(log, rng.choice(list(r_values)))
+
+
+def _trace_answer(
+    own_log: tuple[str, ...], total: int, answers: tuple[Any, ...], probed: TraceValue | None
+) -> TraceValue:
+    # The carrier element the digest picks, logged after the probed result.
+    log = own_log if probed is None else probed.log + own_log
+    return TraceValue(log, answers[total % len(answers)])
+
+
+def _nondet_sequences(values: Sequence[Any]) -> list[NondetValue]:
+    seqs: list[NondetValue] = []
+    for size in range(len(values) + 1):
+        for combo in itertools.permutations(values, size):
+            seqs.append(NondetValue(combo))
+    return seqs
+
+
+def _random_nondet_eff_value(rng: random.Random, r_values: Sequence[int]) -> NondetValue:
+    picks = [v for v in r_values if rng.random() < 0.6]
+    rng.shuffle(picks)
+    return NondetValue(tuple(picks))
+
+
+def _nondet_answer(
+    keep_mod: int, total: int, answers: tuple[Any, ...], probed: NondetValue | None
+) -> NondetValue:
+    # The probed result's alternatives that lie in the carrier, then the
+    # other carrier elements that the digest keeps.
+    merged = [] if probed is None else list(filter(answers.__contains__, probed.alternatives))
+    for i, v in enumerate(answers):
+        if (total + i) % keep_mod != 0 and v not in merged:
+            merged.append(v)
+    return NondetValue(tuple(merged))
+
+
+_EFFECTS = (
+    _EffectLaws(_IDENTITY, "identity effect monad laws (exhaustive)", range, (1, 2, 3)),
+    _EffectLaws(
+        _TRACE, "trace effect monad laws (exhaustive, bounded logs)", _trace_values, (1, 2, 3),
+        value=_random_trace_eff_value,
+        # Lines "s0".."s3" for a selection, "q0".."q3" for a quantifier.
+        draw=lambda monad, rng: tuple(
+            f"{monad.name[0]}{rng.randrange(4)}" for _ in range(rng.randrange(2))
+        ),
+        answer=_trace_answer,
+    ),
+    # Exhaustive at carriers <= 2 (all duplicate-free ordered sequences, all
+    # function tables); randomized at carrier 3 where the table space blows up.
+    _EffectLaws(
+        _NONDET, "nondet effect monad laws (exhaustive <=2 + randomized)",
+        lambda n: _nondet_sequences(range(n)), (1, 2), 2000,
+        value=_random_nondet_eff_value,
+        draw=lambda monad, rng: rng.randrange(2, 4),  # keep_mod
+        answer=_nondet_answer,
+    ),
+)
+
+
+# ---------------------------------------------------------------------------
+# Randomized sweeps over the effects with random fixtures.
 #
 # Choosers must be pure functions of their continuation; random ones are
 # built by evaluating the continuation across the whole carrier, reducing the
@@ -372,96 +478,38 @@ def _digest(value: Any, memo: dict[Any, int]) -> int:
     return handler(value, memo)
 
 
-def _random_trace_eff_value(rng: random.Random, r_values: Sequence[int]) -> TraceValue:
-    log = tuple(f"t{rng.randrange(4)}" for _ in range(rng.randrange(3)))
-    return TraceValue(log, rng.choice(list(r_values)))
-
-
-def _random_nondet_eff_value(rng: random.Random, r_values: Sequence[int]) -> NondetValue:
-    picks = [v for v in r_values if rng.random() < 0.6]
-    rng.shuffle(picks)
-    return NondetValue(tuple(picks))
-
-
-def _random_trace_computation(
+def _random_computation(
     monad: Monad,
+    fixture: _EffectLaws,
     rng: random.Random,
     domain: Sequence[int],
     r_values: Sequence[int],
     memo: dict[Any, int],
 ) -> Any:
-    """A random trace computation of ``monad``: it answers with the element of
-    its carrier picked by a random digest of the continuation over ``domain``,
-    and logs its own lines after the log of one probed result, if any."""
+    """A random computation of ``monad`` over ``fixture``'s effect.
+
+    It draws digest coefficients and an offset, the effect's own parameters
+    and a probe, in that order.  Run on ``k``, it digests ``k``'s results over
+    ``domain`` (through ``memo``) and answers with ``fixture.answer`` over the
+    elements of its carrier, probing the result of one domain element or of
+    none.
+    """
     coefficients = [rng.randrange(1, 9973) for _ in domain]
     offset = rng.randrange(9973)
-    # Lines "s0".."s3" for a selection, "q0".."q3" for a quantifier.
-    own_log = tuple(f"{monad.name[0]}{rng.randrange(4)}" for _ in range(rng.randrange(2)))
-    include_probe = rng.randrange(len(domain) + 1)  # len(domain) means "none"
+    params = fixture.draw(monad, rng)
+    probe = rng.randrange(len(domain) + 1)  # len(domain) means "none"
     points = tuple(domain)
     answers = tuple(monad.carrier(domain, r_values))
+    answer = fixture.answer
+    memos = itertools.repeat(memo)
 
-    def fn(k: Callable[[int], TraceValue]) -> TraceValue:
+    def fn(k: Callable[[int], Any]) -> Any:
         results = [k(x) for x in points]
-        acc = offset
-        for c, res in zip(coefficients, results):
-            acc = (acc + c * _digest(res, memo)) % 9973
-        log = own_log
-        if include_probe < len(points):
-            log = results[include_probe].log + log
-        return TraceValue(log, answers[acc % len(answers)])
+        total = offset + sum(map(operator.mul, coefficients, map(_digest, results, memos)))
+        probed = results[probe] if probe < len(points) else None
+        return answer(params, total % 9973, answers, probed)
 
-    return monad.computation(fn, _TRACE)
-
-
-def _random_nondet_computation(
-    monad: Monad,
-    rng: random.Random,
-    domain: Sequence[int],
-    r_values: Sequence[int],
-    memo: dict[Any, int],
-) -> Any:
-    """A random nondet computation of ``monad``: it answers with those
-    alternatives of one probed result, if any, that lie in its carrier, then
-    with the other carrier elements that a random digest of the continuation
-    over ``domain`` keeps."""
-    coefficients = [rng.randrange(1, 9973) for _ in domain]
-    offset = rng.randrange(9973)
-    keep_mod = rng.randrange(2, 4)
-    merge_probe = rng.randrange(len(domain) + 1)  # len(domain) means "none"
-    points = tuple(domain)
-    answers = tuple(monad.carrier(domain, r_values))
-
-    def fn(k: Callable[[int], NondetValue]) -> NondetValue:
-        results = [k(x) for x in points]
-        total = (
-            offset + sum(c * _digest(res, memo) for c, res in zip(coefficients, results))
-        ) % 9973
-        merged: list[int] = []
-        if merge_probe < len(points):
-            merged.extend(filter(answers.__contains__, results[merge_probe].alternatives))
-        for i, v in enumerate(answers):
-            if (total + i) % keep_mod != 0 and v not in merged:
-                merged.append(v)
-        return NondetValue(tuple(merged))
-
-    return monad.computation(fn, _NONDET)
-
-
-class _RandomEffect(NamedTuple):
-    """What the randomized sweeps draw over one effect: ``value(rng,
-    r_values)`` is a random effect value over the results, and
-    ``computation(monad, rng, domain, r_values, memo)`` a random computation
-    of ``monad``, whose choosers digest their continuation results through
-    ``memo``."""
-
-    effect: EffectInstance
-    value: Callable[[random.Random, Sequence[int]], Any]
-    computation: Callable[..., Any]
-
-
-_RANDOM_TRACE = _RandomEffect(_TRACE, _random_trace_eff_value, _random_trace_computation)
-_RANDOM_NONDET = _RandomEffect(_NONDET, _random_nondet_eff_value, _random_nondet_computation)
+    return monad.computation(fn, fixture.effect)
 
 
 def _check_samples(samples: int) -> None:
@@ -470,15 +518,16 @@ def _check_samples(samples: int) -> None:
 
 
 def _randomized_monad_failures(
-    monad: Monad, fixture: _RandomEffect, law: str, seed: int, samples: int
+    monad: Monad, fixture: _EffectLaws, law: str, seed: int, samples: int
 ) -> tuple[int, int]:
     """Cases and failures of one law of ``monad`` over ``fixture``'s effect
     on ``samples`` random cases drawn from ``seed``."""
     eff = fixture.effect
     rng = random.Random(repr((seed, monad.name, eff.name, law)))
-    rand_comp, rand_eff_value = fixture.computation, fixture.value
-    unit, bind, run = monad.unit, monad.bind, monad.run
     memo: dict[Any, int] = {}  # digests of this sweep's tuples, for its computations
+    rand_comp = functools.partial(_random_computation, monad, fixture, rng, memo=memo)
+    rand_eff_value = fixture.value
+    unit, bind, run = monad.unit, monad.bind, monad.run
     failures = 0
     for _ in range(samples):
         nx = rng.randrange(1, 4)
@@ -489,7 +538,7 @@ def _randomized_monad_failures(
         zs = tuple(range(nz))
         r_values = tuple(range(rng.randrange(1, 4)))
         if law == "left unit":
-            target = [rand_comp(monad, rng, ys, r_values, memo) for _ in xs]
+            target = [rand_comp(ys, r_values) for _ in xs]
             f = target.__getitem__
             x = rng.randrange(nx)
             k_table = [rand_eff_value(rng, r_values) for _ in ys]
@@ -497,15 +546,15 @@ def _randomized_monad_failures(
             if run(bind(unit(x, eff), f), k) != run(f(x), k):
                 failures += 1
         elif law == "right unit":
-            eps = rand_comp(monad, rng, xs, r_values, memo)
+            eps = rand_comp(xs, r_values)
             k_table = [rand_eff_value(rng, r_values) for _ in xs]
             k = k_table.__getitem__
             if run(bind(eps, lambda x: unit(x, eff)), k) != run(eps, k):
                 failures += 1
         else:  # associativity
-            eps = rand_comp(monad, rng, xs, r_values, memo)
-            f_list = [rand_comp(monad, rng, ys, r_values, memo) for _ in xs]
-            g_list = [rand_comp(monad, rng, zs, r_values, memo) for _ in ys]
+            eps = rand_comp(xs, r_values)
+            f_list = [rand_comp(ys, r_values) for _ in xs]
+            g_list = [rand_comp(zs, r_values) for _ in ys]
             f = f_list.__getitem__
             g = g_list.__getitem__
             k_table = [rand_eff_value(rng, r_values) for _ in zs]
@@ -518,7 +567,8 @@ def _randomized_monad_failures(
 
 
 def randomized_monad_reports(seed: int = 0, samples: int = 1000) -> list[LawReport]:
-    """Randomized law sweeps over the trace and nondeterminism effects.
+    """Randomized law sweeps over each effect that has random fixtures (the
+    trace and nondeterminism effects).
 
     ``samples`` cases per (monad, effect, law) — 12 sweeps in total —
     deterministic for a fixed seed.  Raises ``ValueError`` if ``samples`` is
@@ -531,7 +581,8 @@ def randomized_monad_reports(seed: int = 0, samples: int = 1000) -> list[LawRepo
             *_randomized_monad_failures(monad, fixture, law, seed, samples),
         )
         for monad in (SELECTION, QUANTIFIER)
-        for fixture in (_RANDOM_TRACE, _RANDOM_NONDET)
+        for fixture in _EFFECTS
+        if fixture.answer is not None
         for law in ("left unit", "right unit", "associativity")
     ]
 
@@ -541,87 +592,47 @@ def randomized_monad_reports(seed: int = 0, samples: int = 1000) -> list[LawRepo
 # ---------------------------------------------------------------------------
 
 
-def _trace_values(n: int) -> list[TraceValue]:
-    # Logs are unbounded, so exhaustiveness is over this documented finite
-    # universe: an empty or one-line log crossed with every carrier value.
-    return [TraceValue(log, v) for log in ((), ("line",)) for v in range(n)]
+def _effect_laws(fixture: _EffectLaws, seed: int = 0) -> tuple[int, int]:
+    """Cases and failures of the three monad laws of ``fixture``'s effect.
 
-
-def _nondet_sequences(values: Sequence[int]) -> list[NondetValue]:
-    seqs: list[NondetValue] = []
-    for size in range(len(values) + 1):
-        for combo in itertools.permutations(values, size):
-            seqs.append(NondetValue(combo))
-    return seqs
-
-
-def _effect_laws(
-    eff: EffectInstance, values: Callable[[int], Sequence[Any]], sizes: Sequence[int]
-) -> tuple[int, int]:
-    """Cases and failures of the three monad laws of ``eff``.
-
-    ``values(n)`` lists the effect values over ``range(n)``.  For every
-    carrier triple ``(n_a, n_b, n_c)`` in ``sizes`` all three laws run, with
-    ``m`` over ``values(n_a)`` and the Kleisli maps ``f``, ``g`` tabulated
-    into ``values(n_b)`` and ``values(n_c)``.  The sweeps are the monads' own,
-    with each value as its own one-entry table, so a case compares two ids;
-    on the trace effect (447,600 cases at sizes up to 3) this takes about
-    0.15–0.2 s instead of 2.5 s for a direct sweep.
+    For every carrier triple ``(n_a, n_b, n_c)`` in ``fixture.sizes`` all
+    three laws run, with ``m`` over ``fixture.values(n_a)`` and the Kleisli
+    maps ``f``, ``g`` tabulated into ``values(n_b)`` and ``values(n_c)``.  The
+    sweeps are the monads' own, with each value as its own one-entry table,
+    so a case compares two ids; on the trace effect (447,600 cases at sizes
+    up to 3) this takes about 65 ms instead of 0.9 s for a direct sweep.
+    Then ``fixture.samples`` random ``(a, m, f, g)`` drawn from
+    ``f"{name}-laws-{seed}"`` (the effect's name in lower case) check the
+    three laws once each at carrier ``max(sizes) + 1``.
     """
+    eff, values = fixture.effect, fixture.values
+    bind, unit = eff.bind, eff.unit
     cases = failures = 0
-    for n_a, n_b, n_c in itertools.product(sizes, repeat=3):
+    for n_a, n_b, n_c in itertools.product(fixture.sizes, repeat=3):
         # Fresh per triple: a trace bind makes longer logs, and a tabulation
         # shared across triples would bind them again and again.
         ta, tb, tc = [_Tabulation(lambda m: (m,), 1, values(n), n) for n in (n_a, n_b, n_c)]
         for c, fl in (_left_unit(eff, ta, tb), _right_unit(eff, ta), _assoc(eff, ta, tb, tc)):
             cases += c
             failures += fl
-    return cases, failures
-
-
-def _nondet_effect_laws(
-    seed: int = 0, samples: int = 2000, eff: EffectInstance = _NONDET
-) -> tuple[int, int]:
-    # Exhaustive at carriers <= 2 (all duplicate-free ordered sequences, all
-    # function tables); randomized at carrier 3 where the table space blows up.
-    cases, failures = _effect_laws(eff, lambda n: _nondet_sequences(range(n)), (1, 2))
-    bind = eff.bind
-    unit = eff.unit
-    rng = random.Random(f"nondet-laws-{seed}")
-    seqs3 = _nondet_sequences(range(3))
-    for _ in range(samples):
-        m = rng.choice(seqs3)
-        f_table = [rng.choice(seqs3) for _ in range(3)]
-        g_table = [rng.choice(seqs3) for _ in range(3)]
-        f = f_table.__getitem__
-        g = g_table.__getitem__
-        a = rng.randrange(3)
+    n = max(fixture.sizes) + 1
+    universe = values(n)
+    rng = random.Random(f"{eff.name.lower()}-laws-{seed}")
+    for _ in range(fixture.samples):
+        m = rng.choice(universe)
+        f = [rng.choice(universe) for _ in range(n)].__getitem__
+        g = [rng.choice(universe) for _ in range(n)].__getitem__
+        a = rng.randrange(n)
         cases += 3
-        if bind(unit(a), f) != f(a):
-            failures += 1
-        if bind(m, unit) != m:
-            failures += 1
-        if bind(bind(m, f), g) != bind(m, lambda v: bind(f(v), g)):
-            failures += 1
+        failures += bind(unit(a), f) != f(a)
+        failures += bind(m, unit) != m
+        failures += bind(bind(m, f), g) != bind(m, lambda v: bind(f(v), g))
     return cases, failures
 
 
 def effect_law_reports(seed: int = 0) -> list[LawReport]:
-    """Monad laws for the three base effects themselves."""
-    return [
-        LawReport(
-            "identity effect monad laws (exhaustive)",
-            *_effect_laws(_IDENTITY, range, (1, 2, 3)),
-        ),
-        LawReport(
-            "trace effect monad laws (exhaustive, bounded logs)",
-            *_effect_laws(_TRACE, _trace_values, (1, 2, 3)),
-        ),
-        LawReport(
-            "nondet effect monad laws (exhaustive <=2 + randomized)",
-            *_nondet_effect_laws(seed),
-        ),
-    ]
+    """Monad laws for each base effect itself."""
+    return [LawReport(fixture.report, *_effect_laws(fixture, seed)) for fixture in _EFFECTS]
 
 
 # ---------------------------------------------------------------------------

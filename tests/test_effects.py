@@ -25,7 +25,7 @@ from selcc import (
     trace_effect,
 )
 from selcc import effects
-from selcc.laws import _nondet_sequences, _trace_values
+from selcc.laws import _EFFECTS
 
 
 class TestIdentityEffect:
@@ -278,11 +278,7 @@ class TestNondetDedupIsLinear:
 
 
 # Each base effect's law universe over the carrier range(n).
-_UNIVERSES = {
-    "Identity": range,
-    "Trace": _trace_values,
-    "Nondet": lambda n: _nondet_sequences(range(n)),
-}
+_UNIVERSES = {fixture.effect.name: fixture.values for fixture in _EFFECTS}
 
 
 def _map_law_counts(eff: EffectInstance) -> tuple[int, int]:

@@ -28,6 +28,7 @@ from selcc import (
     sum_selections,
     trace_effect,
 )
+from selcc.games import _repeated_index
 
 _SCORES = (-2, -1, 0, 1, 2)
 
@@ -656,3 +657,65 @@ class TestSumSelectionsAgainstPerPairReference:
         cases, mismatches = _sum_mismatches(_sum_with_swapped_lookups)
         assert cases == 432
         assert mismatches > 0
+
+
+def _set_scan_repeated_index(elements):
+    """The reference for ``_repeated_index``: one set scan over every
+    element, and the pairwise scan once an element is unhashable."""
+    seen = set()
+    try:
+        for index, element in enumerate(elements):
+            if element in seen:
+                return index
+            seen.add(element)
+    except TypeError:
+        return next((i for i, element in enumerate(elements) if element in elements[:i]), None)
+    return None
+
+
+# Equal across types (1 == True == 1.0, 0 == False == 0.0), distinct
+# strings, and unhashable lists that equal each other or nothing.
+_POOL = (1, True, 1.0, 0, False, 0.0, 2, "a", "b", "c", "1", (1,), [1], [1], [2], [])
+
+
+class TestRepeatedIndexAgainstTheSetScan:
+    def test_seeded_sequences_give_the_same_index(self):
+        rng = random.Random(22)
+        repeats = unhashable = 0
+        for _ in range(3000):
+            length = rng.randrange(31)
+            if rng.random() < 0.5:  # distinct hashable moves, as most games have
+                elements = tuple(f"m{i}" for i in rng.sample(range(60), length))
+            else:
+                elements = tuple(rng.choice(_POOL) for _ in range(length))
+            expected = _set_scan_repeated_index(elements)
+            assert _repeated_index(elements) == expected, elements
+            assert _repeated_index(list(elements)) == expected, elements
+            repeats += expected is not None
+            unhashable += any(isinstance(e, list) for e in elements)
+        assert repeats > 1000 and unhashable > 1000
+
+    @pytest.mark.parametrize(
+        "elements, index",
+        [
+            ((), None),
+            (("a",), None),
+            (("a", "b", "a"), 2),
+            ((1, True), 1),
+            ((1.0, 2, 1), 2),
+            ((0, "0", False), 2),
+            (([1], 2, [1]), 2),
+            (([1], [2]), None),
+            (("a", [1], "a"), 2),
+        ],
+    )
+    def test_edge_cases(self, elements, index):
+        assert _repeated_index(elements) == index == _set_scan_repeated_index(elements)
+
+    def test_repeated_moves_are_still_named_in_the_errors(self):
+        with pytest.raises(ValueError, match="domain repeats element True$"):
+            nondet_argmax_selection((1, True))
+        with pytest.raises(ValueError, match=r"^stage 0 repeats move 'a'$"):
+            backward_induction(
+                SequentialGameSpec(("P",), (Stage(0, ("a", "b", "a")),), lambda play: (0,))
+            )

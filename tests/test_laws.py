@@ -11,10 +11,15 @@ suites a broken ``to_quantifier`` and ``sum_selections``, patched into the
 names ``selcc.laws`` and ``selcc.games`` call, as the agent,
 backward-induction and SAT suites are fed broken agents, players and
 solvers; this module also covers every other suite, the reporting contract
-and ``run_all``'s forked child.
+and ``run_all``'s forked child.  Beyond ``selcc laws``, it checks the two
+lift laws over each effect record's universe, pins the random stream of the
+randomized sweeps' generator, and shows that one more effect record is swept
+by both effect drivers.
 """
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import os
 import random
@@ -63,16 +68,16 @@ from selcc.laws import (
     _continuations,
     _digest,
     _effect_laws,
+    _EffectLaws,
     _exhaustive_reports,
-    _nondet_effect_laws,
-    _nondet_sequences,
-    _RANDOM_NONDET,
-    _RANDOM_TRACE,
+    _random_computation,
     _randomized_monad_failures,
     _table_computations,
     _table_fn,
-    _trace_values,
 )
+
+# Each base effect's law record, by effect name.
+_LAWS = {fixture.effect.name: fixture for fixture in laws._EFFECTS}
 
 
 class TestLawReport:
@@ -145,8 +150,8 @@ def _direct_effect_laws(eff, values, sizes):
     return cases, failures
 
 
-def _nondet_values(n):
-    return _nondet_sequences(range(n))
+_trace_values = _LAWS["Trace"].values
+_nondet_values = _LAWS["Nondet"].values
 
 
 class TestEffectLawsAgreeWithADirectSweep:
@@ -181,7 +186,7 @@ class TestEffectLawsAgreeWithADirectSweep:
     )
     def test_same_cases_and_failures(self, eff, values, sizes, expected):
         assert _direct_effect_laws(eff, values, sizes) == expected
-        assert _effect_laws(eff, values, sizes) == expected
+        assert _effect_laws(_EffectLaws(eff, "", values, sizes)) == expected
 
 
 class TestEffectLawsCatchBrokenBinds:
@@ -193,16 +198,16 @@ class TestEffectLawsCatchBrokenBinds:
     def test_trace_bind_dropping_the_log_of_m(self):
         broken = EffectInstance("Trace", trace_effect().unit, _drops_the_log_of_m)
         # Right unit fails once per one-line m and carrier triple.
-        assert _effect_laws(broken, _trace_values, (1, 2, 3)) == (447600, 54)
+        assert _effect_laws(_LAWS["Trace"]._replace(effect=broken)) == (447600, 54)
 
     def test_trace_bind_repeating_the_log_of_m(self):
         broken = EffectInstance("Trace", trace_effect().unit, _repeats_the_log_of_m)
         # Right unit gives 54 of these; the rest are associativity cases.
-        assert _effect_laws(broken, _trace_values, (1, 2, 3)) == (447600, 222318)
+        assert _effect_laws(_LAWS["Trace"]._replace(effect=broken)) == (447600, 222318)
 
     def test_nondet_bind_walking_alternatives_in_reverse(self):
         broken = EffectInstance("Nondet", nondet_effect().unit, _walks_alternatives_in_reverse)
-        assert _nondet_effect_laws(0, eff=broken) == (10241, 2130)
+        assert _effect_laws(_LAWS["Nondet"]._replace(effect=broken), 0) == (10241, 2130)
 
 
 def _scores_every_candidate_against_f0(eps, f):
@@ -339,21 +344,174 @@ class TestRandomizedMonadLawsCatchBrokenBinds:
         # Right unit cannot see this fault: the second pass of
         # bind(eps, unit) has an empty log.
         broken = SELECTION._replace(bind=_drops_the_second_pass)
-        assert _randomized_counts(broken, _RANDOM_TRACE, seed) == expected
+        assert _randomized_counts(broken, _LAWS["Trace"], seed) == expected
 
     def test_nondet_selection_bind_keeping_the_first_alternative(self):
         # Right unit cannot see this fault: the second pass of
         # bind(eps, unit) has one alternative.
         broken = SELECTION._replace(bind=_keeps_the_first_alternative)
-        assert _randomized_counts(broken, _RANDOM_NONDET, 0) == [
+        assert _randomized_counts(broken, _LAWS["Nondet"], 0) == [
             (1000, 389), (1000, 0), (1000, 34),
         ]
 
     def test_nondet_quantifier_bind_sending_k_a_wrong_value(self):
         broken = QUANTIFIER._replace(bind=_sends_k_a_wrong_value)
-        assert _randomized_counts(broken, _RANDOM_NONDET, 0) == [
+        assert _randomized_counts(broken, _LAWS["Nondet"], 0) == [
             (1000, 131), (1000, 325), (1000, 160),
         ]
+
+
+class TestEffectRecords:
+    def test_a_fourth_record_is_swept_by_both_drivers(self, monkeypatch):
+        # Adding an effect takes one record: here the trace record again,
+        # under another name.
+        trace = _LAWS["Trace"]
+        again = dataclasses.replace(trace.effect, name="Trace again")
+        monkeypatch.setattr(
+            laws, "_EFFECTS", (*laws._EFFECTS, trace._replace(effect=again, report="trace again"))
+        )
+        effect_reports = effect_law_reports(seed=0)
+        assert [(r.name, r.cases, r.failures) for r in effect_reports[2:]] == [
+            ("nondet effect monad laws (exhaustive <=2 + randomized)", 10241, 0),
+            ("trace again", 447600, 0),
+        ]
+        reports = randomized_monad_reports(seed=0, samples=40)
+        assert len(reports) == 18
+        assert all(r.passed and r.cases == 40 for r in reports)
+        assert sum("(randomized, trace again)" in r.name for r in reports) == 6
+
+
+def _stream_fingerprint(monad, fixture):
+    """The sha256 of the results of ``fixture``'s first 200 random
+    computations of ``monad``, each run on three continuation tables that
+    are fixed per carrier size pair.  Any change to the order or the use of
+    the generator's draws changes it."""
+    name = fixture.effect.name
+    rng = random.Random(f"stream-{monad.name}-{name}")
+    tables_rng = random.Random(f"stream-tables-{name}")
+    tables = {
+        (n, r): [[fixture.value(tables_rng, tuple(range(r))) for _ in range(n)] for _ in range(3)]
+        for n in (1, 2, 3)
+        for r in (1, 2, 3)
+    }
+    memo = {}
+    digest = hashlib.sha256()
+    for i in range(200):
+        n, r = 1 + i % 3, 1 + i // 3 % 3
+        comp = _random_computation(monad, fixture, rng, tuple(range(n)), tuple(range(r)), memo)
+        for table in tables[n, r]:
+            digest.update(repr(monad.run(comp, table.__getitem__)).encode())
+    return digest.hexdigest()
+
+
+class TestRandomStream:
+    # Taken from the two generators written per effect, before they became
+    # one driver over the effect records.
+    @pytest.mark.parametrize(
+        "monad, effect, expected",
+        [
+            (SELECTION, "Trace",
+             "0fba05fb47fdeeeaed20a9427fc594da05e75a4b908ca268e7275c2d8f2e06e8"),
+            (SELECTION, "Nondet",
+             "608a3ece1f6d8fac5f1ef9ff51b4f8ef69b1cc59a2b7d383668431e6b3ad9891"),
+            (QUANTIFIER, "Trace",
+             "2375f7c56ee6cf8de6593435b58c210d78f4cc317af91d5a481597e2af4858b8"),
+            (QUANTIFIER, "Nondet",
+             "01f2a8e404c6433254d8f7f0b0a3b2d42e0f44bd76e60241b3fd079becbaf293"),
+        ],
+        ids=["selection-trace", "selection-nondet", "quantifier-trace", "quantifier-nondet"],
+    )
+    def test_first_200_computations_are_pinned(self, monad, effect, expected):
+        assert _stream_fingerprint(monad, _LAWS[effect]) == expected
+
+    def test_a_reordered_draw_changes_the_fingerprint(self):
+        trace = _LAWS["Trace"]
+
+        def draws_the_log_later(monad, rng):
+            rng.random()
+            return trace.draw(monad, rng)
+
+        broken = trace._replace(draw=draws_the_log_later)
+        assert _stream_fingerprint(SELECTION, broken) != _stream_fingerprint(SELECTION, trace)
+
+
+def _lift_law_counts(monad, fixture, lift):
+    """(cases, failures) per law of ``lift``, a map from ``fixture``'s effect
+    values into ``monad``: ``lift(unit a) == unit a`` and ``lift(bind(m, f))
+    == bind(lift m, lift . f)``.  Over carriers of 1 and 2 points, ``m``
+    ranges over the effect's universe, ``f`` over every table into it, and
+    each side runs on every continuation tabulated into it."""
+    eff, values = fixture.effect, fixture.values
+    unit, bind, run = monad.unit, monad.bind, monad.run
+
+    def conts(n, r):
+        return [table.__getitem__ for table in itertools.product(values(r), repeat=n)]
+
+    counts = {"unit": [0, 0], "bind": [0, 0]}
+
+    def check(law, lhs, rhs, ks):
+        for k in ks:
+            counts[law][0] += 1
+            counts[law][1] += run(lhs, k) != run(rhs, k)
+
+    for n, r in itertools.product((1, 2), repeat=2):
+        for a in range(n):
+            check("unit", lift(eff.unit(a), eff), unit(a, eff), conts(n, r))
+    for nx, ny, r in itertools.product((1, 2), repeat=3):
+        ks = conts(ny, r)
+        for m in values(nx):
+            for table in itertools.product(values(ny), repeat=nx):
+                f = table.__getitem__
+                lifted_f = lambda x, f=f: lift(f(x), eff)
+                check("bind", lift(eff.bind(m, f), eff), bind(lift(m, eff), lifted_f), ks)
+    return {law: tuple(pair) for law, pair in counts.items()}
+
+
+def _mixes_up_the_lifts(monad):
+    """A broken lift for ``monad``, half the other monad's: a selection that
+    also performs the continuation on its value, or a quantifier that
+    answers with the effect value and ignores the continuation."""
+    if monad is SELECTION:
+        return lambda m, eff: SelectionComputation(
+            lambda k: eff.bind(m, lambda x: eff.map(k(x), lambda _: x)), eff
+        )
+    return lambda m, eff: QuantifierComputation(lambda k: m, eff)
+
+
+# Cases per effect: (unit, bind).
+_LIFT_CASES = {"Identity": (13, 59), "Trace": (46, 1560), "Nondet": (65, 4083)}
+
+
+class TestLiftLaws:
+    # Checked here only: the pinned `selcc laws` transcript has no lift rows.
+    @pytest.mark.parametrize("monad", [SELECTION, QUANTIFIER], ids=lambda m: m.name)
+    @pytest.mark.parametrize("effect", ["Identity", "Trace", "Nondet"])
+    def test_lift_is_a_monad_morphism(self, monad, effect):
+        unit_cases, bind_cases = _LIFT_CASES[effect]
+        assert _lift_law_counts(monad, _LAWS[effect], monad.lift) == {
+            "unit": (unit_cases, 0), "bind": (bind_cases, 0),
+        }
+
+    # Failures per effect: (unit, bind).  Over the identity effect the
+    # broken selection lift performs nothing more, so it is lawful there.  A
+    # lift that performs its value twice is not caught at all: it breaks the
+    # bind law only in the order of log lines, and the trace universe has
+    # one line.
+    @pytest.mark.parametrize(
+        "monad, failures",
+        [
+            (SELECTION, {"Identity": (0, 0), "Trace": (23, 1170), "Nondet": (16, 0)}),
+            (QUANTIFIER, {"Identity": (6, 28), "Trace": (34, 1164), "Nondet": (51, 2309)}),
+        ],
+        ids=["selection", "quantifier"],
+    )
+    def test_a_lift_mixing_up_the_monads_is_caught(self, monad, failures):
+        broken = _mixes_up_the_lifts(monad)
+        for effect, (unit_failures, bind_failures) in failures.items():
+            unit_cases, bind_cases = _LIFT_CASES[effect]
+            assert _lift_law_counts(monad, _LAWS[effect], broken) == {
+                "unit": (unit_cases, unit_failures), "bind": (bind_cases, bind_failures),
+            }, effect
 
 
 def _reference_digest(value):
