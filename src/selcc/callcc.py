@@ -2,13 +2,18 @@
 
 Both operators are the *same* untyped term, :func:`_callcc_term`: the handler
 receives the current continuation reified as a computation that discards its
-own continuation and short-circuits to the outer one.  What differs is only
-the bind operator the result is later composed with — under the quantifier
-monad control never returns to the handler once the continuation is invoked,
-while under the selection monad the handler resumes and a coroutine-like
-dialogue emerges.  The dialogue program is likewise written once over the
-:class:`~selcc.core.Monad` record; its two instances and their demos make the
-difference visible through the trace effect.
+own continuation and short-circuits to the outer one.  That computation never
+reads its own continuation, so its value is fixed once it is built: it runs
+the outer continuation on its first run and hands the same value back on
+later runs, as a lazy language shares it.  Answers and logs are those of the
+term as written; only the outer continuation runs less often.  What differs
+between the two operators is only the bind operator the result is later
+composed with — under the quantifier monad control never returns to the
+handler once the continuation is invoked, while under the selection monad the
+handler resumes and a coroutine-like dialogue emerges.  The dialogue program
+is likewise written once over the :class:`~selcc.core.Monad` record; its two
+instances and their demos make the difference visible through the trace
+effect.
 """
 from __future__ import annotations
 
@@ -25,13 +30,25 @@ def _callcc_term(
 
     ``monad`` only wraps the raw functions in its computation class and runs
     the handler's result; the term itself is shared by both public wrappers.
+
+    ``k1(x)`` does not mention ``k2``, so each reified computation runs it
+    on its first run and hands the same value back on later runs, as a lazy
+    language shares it (GHC's full laziness floats it out of the ``λk2``).
+    The value is held by that computation alone, and a run that raises
+    holds nothing.  ``k1`` is pure, so answers and logs are unchanged; only
+    its calls drop.  Whether the handler resumes after an invocation, the
+    difference between the two monads, is unchanged too: it is the bind's.
     """
     effect = eff if eff is not None else identity_effect()
 
     def run(k1: Callable[[Any], Any]) -> Any:
         def reified(x: Any) -> Any:
+            answer: list[Any] = []
+
             def computation(k2: Callable[[Any], Any]) -> Any:
-                return k1(x)
+                if not answer:
+                    answer.append(k1(x))
+                return answer[0]
 
             return monad.computation(computation, effect)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import itertools
 import json
 import math
@@ -57,11 +58,14 @@ MAX_SEQUENTIAL_STAGES = 100
 # The most variables ``demo-sat`` accepts, the same arity limit as
 # ``sat_oracle``.  The search's trace log has 5 * 2**n - 4 lines, so time and
 # memory double per variable.  Measured on a 2-core Linux x86-64 machine with
-# Python 3.11, writing to a file: ``--vars 20 --formula 0`` prints a log of
-# 5,242,876 lines in 2.3-3.0 s with a peak RSS of 117 MB; the unsatisfiable
-# ``--vars 16 --formula '0&!0'`` prints 327,676 lines in 2.3-2.9 s with a peak
-# RSS of 62 MB.  Either peak is set inside the search, by the last trace bind
-# holding both halves of the log and their concatenation.
+# Python 3.11, in alternating runs against the search that ran the
+# continuation at the dummy on every call (before -> after): ``--vars 20
+# --formula 0`` prints a log of 5,242,876 lines in 5.1-5.3 -> 4.3-4.5 s to
+# /dev/null and 8.1-12.0 -> 7.6-10.8 s to a file, with a peak RSS of 117 MB;
+# the unsatisfiable ``--vars 16 --formula '0&!0'`` prints 327,676 lines to a
+# file in 2.1-3.6 -> 1.6-2.7 s with a peak RSS of 61 MB.  Either peak is set
+# inside the search, by the last trace bind holding both halves of the log
+# and their concatenation.
 MAX_DEMO_SAT_VARS = 20
 
 # How deep ``parse_formula`` lets "(" and "!" nest, and "!", "&" and "|"
@@ -506,6 +510,9 @@ def _cmd_laws(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# Built on the first ``main`` call and kept for the process, not at import,
+# where ``import selcc`` would pay for it (0.4-0.8 ms a build).
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selcc",

@@ -1,10 +1,17 @@
 """Tests for call-with-current-continuation in both computation flavours."""
 from __future__ import annotations
 
+import inspect
+import itertools
 import runpy
+import textwrap
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from selcc import (
+    TraceValue,
     callcc_quantifier,
     callcc_selection,
     demo_bar,
@@ -21,6 +28,8 @@ from selcc import (
     to_quantifier,
     trace_effect,
 )
+from selcc import callcc
+from selcc.core import QUANTIFIER, SELECTION
 
 
 class TestSharedDefinition:
@@ -29,6 +38,137 @@ class TestSharedDefinition:
         sel_names = callcc_selection.__code__.co_names
         assert "_callcc_term" in quant_names
         assert "_callcc_term" in sel_names
+
+
+def _unshared_callcc_term(monad, handler, eff):
+    """The paper's term as written, ``λk1. handler(λx. λk2. k1(x))(k1)``:
+    every run of a reified computation runs ``k1(x)`` again."""
+
+    def run(k1):
+        def reified(x):
+            return monad.computation(lambda k2: k1(x), eff)
+
+        return monad.run(handler(reified), k1)
+
+    return monad.computation(run, eff)
+
+
+def _fork(monad, eff):
+    """A trace computation that runs its continuation at 0, then 1, then 0
+    again and keeps their logs in that order.  A selection answers the
+    index of the first largest value, a quantifier the three values."""
+
+    def run(k):
+        outs = [k(i) for i in (0, 1, 0)]
+        values = tuple(out.value for out in outs)
+        log = tuple(itertools.chain.from_iterable(out.log for out in outs))
+        return TraceValue(log, monad.carrier(values.index(max(values)), values))
+
+    return monad.computation(run, eff)
+
+
+def _run_forked_program(term, monad):
+    """Run, over the trace effect, a program that forks into ``term``'s
+    call/cc three times; its handler reifies the continuation at "left" and
+    at "right" and forks into those, running "left" twice per fork.
+
+    Returns the outcome, the arguments of every continuation call in order
+    and the number of handler calls.  The continuation logs its argument
+    and answers a string's length, or an int plus one."""
+    eff = trace_effect()
+    bind = monad.bind
+    handler_calls = [0]
+    seen = []
+
+    def log(line):
+        return monad.lift(tell(line), eff)
+
+    def handler(kk):
+        handler_calls[0] += 1
+        branches = (kk("left"), kk("right"))
+        return bind(_fork(monad, eff), lambda i: bind(log(f"branch {i}"), lambda _: branches[i]))
+
+    def k(v):
+        seen.append(v)
+        return TraceValue((f"k {v!r}",), len(v) if isinstance(v, str) else v + 1)
+
+    program = bind(
+        _fork(monad, eff), lambda j: bind(log(f"outer {j}"), lambda _: term(monad, handler, eff))
+    )
+    return monad.run(program, k), seen, handler_calls[0]
+
+
+def _assert_runs_each_reified_continuation_once(term) -> None:
+    """``term`` answers and logs as the unshared term does, in both monads,
+    and calls the continuation once per reified computation."""
+    for monad in (SELECTION, QUANTIFIER):
+        want, want_seen, want_handlers = _run_forked_program(_unshared_callcc_term, monad)
+        got, seen, handlers = _run_forked_program(term, monad)
+        assert got == want, monad.name
+        assert handlers == want_handlers >= 3, monad.name
+        # Each handler call reifies one computation at "left" and one at "right".
+        assert Counter(v for v in seen if isinstance(v, str)) == {
+            "left": handlers,
+            "right": handlers,
+        }, monad.name
+        # The unshared term runs "left" again on every run.
+        assert want_seen.count("left") > handlers, monad.name
+
+
+def _callcc_term_mutant(*edits: tuple[str, str]):
+    """``callcc._callcc_term`` with each ``(old, new)`` edit made to its source."""
+    source = textwrap.dedent(inspect.getsource(callcc._callcc_term))
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new)
+    namespace = dict(vars(callcc))
+    exec(compile(source, callcc.__file__, "exec"), namespace)
+    return namespace["_callcc_term"]
+
+
+class TestReifiedContinuationRunsOnce:
+    """The reified computation ``λk2. k1(x)`` never reads ``k2``, so its
+    value is fixed once it is built; the term runs ``k1(x)`` on its first
+    run only, as a lazy language shares it."""
+
+    def test_answers_and_logs_as_the_unshared_term_in_both_monads(self):
+        _assert_runs_each_reified_continuation_once(callcc._callcc_term)
+
+    def test_one_answer_per_run_of_the_term_is_caught(self):
+        per_run = _callcc_term_mutant(
+            ("            answer: list[Any] = []\n\n", ""),
+            (
+                "        def reified(x: Any) -> Any:\n",
+                "        answer: list[Any] = []\n\n        def reified(x: Any) -> Any:\n",
+            ),
+        )
+        with pytest.raises(AssertionError):
+            _assert_runs_each_reified_continuation_once(per_run)
+
+    @pytest.mark.parametrize("monad", [SELECTION, QUANTIFIER], ids=lambda m: m.name)
+    def test_an_exception_caches_nothing(self, monad):
+        eff = trace_effect()
+        captured = []
+        calls = [0]
+
+        def handler(kk):
+            captured.append(kk("x"))
+            return monad.unit(0, eff)
+
+        def k1(v):
+            if v == "x":
+                calls[0] += 1
+                if calls[0] == 1:
+                    raise RuntimeError("first call")
+            return TraceValue(("ran",), v)
+
+        monad.run(callcc._callcc_term(monad, handler, eff), k1)
+        (reified,) = captured
+        with pytest.raises(RuntimeError):
+            monad.run(reified, None)
+        assert monad.run(reified, None) == TraceValue(("ran",), "x")
+        assert monad.run(reified, None) == TraceValue(("ran",), "x")
+        assert calls[0] == 2
 
 
 class TestQuantifierCallcc:

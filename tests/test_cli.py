@@ -1027,3 +1027,51 @@ class TestUsageErrors:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[-1] == "1"
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its parser on its first call and keeps it."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(
+        self, capsys, monkeypatch
+    ):
+        # argparse wraps usage at $COLUMNS, so pin it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        sat = ["demo-sat", "--vars", "3", "--formula", "0&!1&2"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "selcc", *sat], capture_output=True, text=True
+        )
+        missing_vars = subprocess.run(
+            [sys.executable, "-m", "selcc", "demo-sat", "--formula", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert fresh.returncode == 0 and missing_vars.returncode == 2
+
+        assert main(["demo-sat", "--formula", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: selcc demo-sat")
+        assert captured.err == missing_vars.stderr
+        assert main(sat) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+
+    def test_main_is_re_entrant(self, capsys, monkeypatch):
+        parse = cli.parse_formula
+
+        def parse_after_a_nested_main(src, arity):
+            assert main(["demo-callcc", "--which", "foo"]) == 0
+            assert main(["demo-sat", "--vars", "0", "--formula", "0"]) == 2
+            return parse(src, arity)
+
+        monkeypatch.setattr(cli, "parse_formula", parse_after_a_nested_main)
+        assert main(["demo-sat", "--vars", "3", "--formula", "0&!1&2"]) == 0
+        captured = capsys.readouterr()
+        log, bits = sat_callcc(parse("0&!1&2", 3))
+        nested = "In foo\nIn handler\nIn continuation\n1\n"
+        assert captured.out == nested + "".join(line + "\n" for line in log) + "[True,False,True]\n"
+        assert captured.err == "error: --vars must be at least 1\n"

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from selcc import (
     BooleanFormula,
+    SelectionComputation,
+    TraceValue,
     bool_probe,
-    callcc_selection,
     format_assignment,
+    run_quantifier,
     run_selection,
     sat_callcc,
     sat_oracle,
@@ -24,6 +26,7 @@ from selcc import (
     sel_map,
     sel_sequence,
     tell,
+    to_quantifier,
     trace_effect,
 )
 from selcc import search
@@ -247,10 +250,23 @@ class TestSatProductEvaluationCounts:
         assert calls[0] == 20
 
 
+def _unshared_callcc_selection(handler, eff):
+    """The paper's call/cc as written, ``λk1. handler(λx. λk2. k1(x))(k1)``:
+    every run of a reified computation runs ``k1(x)`` again."""
+
+    def chooser(k1):
+        reified = lambda x: SelectionComputation(lambda k2: k1(x), eff)
+        return run_selection(handler(reified), k1)
+
+    return SelectionComputation(chooser, eff)
+
+
 def _reference_sat_callcc(formula: BooleanFormula):
     """``sat_callcc`` as it was before it built its fixed stages once per
     search: every continuation call rebuilds its per-variable stage, its
-    after-probe computation and its call of the continuation on the dummy."""
+    after-probe computation and its call of the continuation on the dummy,
+    every run of that call runs the continuation again, and each answer is
+    its logged line mapped to the assignment."""
     eff = trace_effect()
     dummy = (False,) * formula.arity
 
@@ -282,7 +298,7 @@ def _reference_sat_callcc(formula: BooleanFormula):
         return log(f"Continuation called with {format_assignment(bits)}")
 
     program = sel_bind(
-        callcc_selection(step, eff),
+        _unshared_callcc_selection(step, eff),
         lambda bits: sel_map(call_line(bits), lambda _: bits),
     )
     outcome = run_selection(program, lambda bits: eff.unit(formula.evaluate(bits)))
@@ -362,3 +378,85 @@ class TestSatCallccAgainstTheReference:
         monkeypatch.setattr(search, "_sat_callcc_outcome", by_equality)
         with pytest.raises(AssertionError):
             _assert_sat_callcc_matches_the_reference()
+
+
+def _evaluated(plain: BooleanFormula) -> tuple[BooleanFormula, list]:
+    """The same formula, recording the assignment of each evaluation."""
+    seen: list = []
+
+    def evaluate(bits):
+        seen.append(bits)
+        return plain.evaluate(bits)
+
+    return BooleanFormula(plain.arity, evaluate), seen
+
+
+class TestSatCallccEvaluationCounts:
+    """The reified call of the search's continuation at the dummy runs the
+    formula once, however often the probes run it.  So the formula runs
+    once per genuine call and once at the dummy: 2^n times on an
+    unsatisfiable formula, where running it on every run made 3 * (2^n - 1)."""
+
+    @pytest.mark.parametrize("arity", [1, 5, 12])
+    def test_unsatisfiable_formula_makes_exactly_two_to_the_n(self, arity):
+        formula, calls = _counting(BooleanFormula(arity, lambda _: False))
+        log, bits = sat_callcc(formula)
+        assert bits == (False,) * arity
+        assert calls[0] == 2**arity
+        # 2^(n+1) - 2 calls at the dummy, one after each probe line, and the
+        # answer's line for the all-False assignment.
+        assert log.count(_call_line(format_assignment(bits))) == 2 ** (arity + 1) - 1
+
+    def test_the_unshared_reference_runs_the_formula_at_every_dummy_call(self):
+        formula, calls = _counting(BooleanFormula(5, lambda _: False))
+        assert _reference_sat_callcc(formula) == sat_callcc(BooleanFormula(5, lambda _: False))
+        assert calls[0] == 3 * (2**5 - 1)
+
+    def test_the_formula_sees_the_reference_assignments_with_the_dummy_once(self):
+        # ``sel_sequence``'s memo inside the search logs a reused run's lines
+        # twice, so a satisfiable formula has fewer genuine calls than
+        # genuine lines; the formula sees what the unshared reference shows
+        # it, in the same order, but the dummy only once, first.
+        shrunk = 0
+        for _, plain in _seeded_formulas(7, 120):
+            formula, seen = _evaluated(plain)
+            reference, seen_by_reference = _evaluated(plain)
+            log, _ = sat_callcc(formula)
+            assert log == _reference_sat_callcc(reference)[0]
+            dummy, reference_dummy = seen[0], seen_by_reference[0]
+            assert dummy == (False,) * plain.arity
+            genuine = seen[1:]
+            assert all(bits is not dummy for bits in genuine)
+            assert genuine == [bits for bits in seen_by_reference if bits is not reference_dummy]
+            # A call at the dummy follows each probe line, and 2^n lines are
+            # genuine calls or the answer's; the formula runs at most that often.
+            after_probes = [line for prev, line in zip(log, log[1:]) if prev.startswith("b = ")]
+            assert set(after_probes) == {_call_line(format_assignment(dummy))}
+            assert len(after_probes) == 2 ** (plain.arity + 1) - 2
+            assert len(log) - 2 * len(after_probes) == 2**plain.arity >= len(seen)
+            shrunk += len(seen) < 2**plain.arity
+        assert shrunk >= 20, shrunk
+
+    def test_the_lifted_answer_is_the_logged_line_mapped_to_the_assignment(self):
+        rng = random.Random(23)
+        eff = trace_effect()
+        for _ in range(300):
+            bits = tuple(rng.choices(_ANSWERS["mixed"], k=rng.randint(1, 8)))
+            line = _call_line(format_assignment(bits))
+            lifted = sel_lift(TraceValue((line,), bits), eff)
+            mapped = sel_map(sel_lift(tell(line), eff), lambda _, bits=bits: bits)
+            weight = rng.randrange(3)
+            calls = []
+
+            def k(xs):
+                calls.append(xs)
+                return TraceValue(("k",) * weight, len(xs) + weight)
+
+            got = run_selection(lifted, k)
+            assert got == run_selection(mapped, k)
+            assert got.value is bits
+            # Neither calls its continuation, so neither is run again when bound.
+            assert calls == []
+            assert run_quantifier(to_quantifier(lifted), k) == run_quantifier(
+                to_quantifier(mapped), k
+            )
