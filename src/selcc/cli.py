@@ -39,11 +39,16 @@ from .laws import run_all
 from .search import BooleanFormula, _sat_callcc_outcome, format_assignment
 
 
-class FormulaParseError(ValueError):
+class _UsageError(ValueError):
+    """A refused input: :func:`main` prints ``error: <message>`` on stderr
+    and exits 2."""
+
+
+class FormulaParseError(_UsageError):
     """Raised when a formula string cannot be parsed; names the position."""
 
 
-class GameFileError(ValueError):
+class GameFileError(_UsageError):
     """Raised when a game document fails validation."""
 
 
@@ -429,22 +434,35 @@ def _cmd_demo_callcc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo_sat(args: argparse.Namespace) -> int:
-    if args.vars < 1:
-        print("error: --vars must be at least 1", file=sys.stderr)
-        return 2
-    if args.vars > MAX_DEMO_SAT_VARS:
-        print(
-            f"error: --vars is {args.vars}; the limit is {MAX_DEMO_SAT_VARS}",
-            file=sys.stderr,
-        )
-        return 2
+def _check_bound(option: str, value: int, low: int, high: int) -> None:
+    """Refuse ``value`` for ``option`` unless ``low <= value <= high``."""
+    if value < low:
+        raise _UsageError(f"{option} must be at least {low}")
+    if value > high:
+        raise _UsageError(f"{option} is {value}; the limit is {high}")
+
+
+def _read_json(path: str) -> Any:
+    """The JSON document in the UTF-8 file at ``path``; a :class:`_UsageError`
+    naming ``path`` if it cannot be read or decoded."""
     try:
-        formula = parse_formula(args.formula, args.vars)
-    except FormulaParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    outcome = _sat_callcc_outcome(formula)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _UsageError(f"{path} nests JSON arrays or objects too deeply") from exc
+    # After its two subclasses above: ``ValueError`` is also what ``int``
+    # raises for a JSON integer of more than 4,300 digits.
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _cmd_demo_sat(args: argparse.Namespace) -> int:
+    _check_bound("--vars", args.vars, 1, MAX_DEMO_SAT_VARS)
+    outcome = _sat_callcc_outcome(parse_formula(args.formula, args.vars))
     # One call writes the trace's own log a line at a time, without copying it.
     sys.stdout.writelines(itertools.chain.from_iterable(zip(outcome.log, itertools.repeat("\n"))))
     print(format_assignment(outcome.value))
@@ -452,26 +470,7 @@ def _cmd_demo_sat(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.file} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(f"error: {args.file} nests JSON arrays or objects too deeply", file=sys.stderr)
-        return 2
-    try:
-        game = parse_game(doc)
-    except GameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    game = parse_game(_read_json(args.file))
     if isinstance(game, SequentialGameSpec):
         play, outcome = backward_induction(game)
         print("play:", " ".join(play) if play else "(empty)")
@@ -488,15 +487,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
-    if args.samples < 0:
-        print("error: --samples must be at least 0", file=sys.stderr)
-        return 2
-    if args.samples > MAX_LAW_SAMPLES:
-        print(
-            f"error: --samples is {args.samples}; the limit is {MAX_LAW_SAMPLES}",
-            file=sys.stderr,
-        )
-        return 2
+    _check_bound("--samples", args.samples, 0, MAX_LAW_SAMPLES)
     reports = run_all(seed=args.seed, samples=args.samples)
     failed = 0
     for report in reports:
@@ -561,10 +552,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    Every input a command refuses raises a ``_UsageError`` (a formula or game
+    file error among them), reported here as one ``error:`` line on stderr
+    with exit code 2.
+    """
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

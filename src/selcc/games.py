@@ -33,7 +33,7 @@ from .core import (
     sel_sequence,
     to_quantifier,
 )
-from .effects import EffectInstance, NondetValue, identity_effect, nondet_effect
+from .effects import EffectInstance, NondetValue, _dedup, identity_effect, nondet_effect
 
 X = TypeVar("X")
 
@@ -73,23 +73,15 @@ class SimultaneousGameSpec:
 def _repeated_index(elements: Sequence[Any]) -> int | None:
     """The index of the first element equal to an earlier one, or None.
 
-    Hashable elements are counted through a set first, and scanned one by
-    one only when that shows a repeat; a sequence holding an unhashable
-    element is scanned pairwise instead.
+    A repeat is what :func:`~selcc.effects._dedup` drops (``==`` after
+    identity, the first occurrence kept), so the first one sits where
+    ``elements`` and the kept elements first differ in identity, or just past
+    the kept ones when none does.
     """
-    try:
-        if len(set(elements)) == len(elements):
-            return None
-    except TypeError:
-        return next(
-            (i for i, element in enumerate(elements) if element in elements[:i]), None
-        )
-    seen: set[Any] = set()
-    for index, element in enumerate(elements):
-        if element in seen:
-            break
-        seen.add(element)
-    return index  # a repeat exists, so the scan stopped at it
+    kept = _dedup(elements)
+    if len(kept) == len(elements):
+        return None
+    return next((i for i, (x, k) in enumerate(zip(elements, kept)) if x is not k), len(kept))
 
 
 def _distinct(domain: Sequence[X], what: str) -> tuple[X, ...]:

@@ -720,7 +720,8 @@ class TestDemoCommands:
 
     def test_sat_demo_rejects_nonpositive_vars(self, capsys):
         assert main(["demo-sat", "--vars", "0", "--formula", "0"]) == 2
-        assert "at least 1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --vars must be at least 1\n")
 
     @pytest.mark.parametrize("n_vars", [MAX_DEMO_SAT_VARS + 1, 130])
     def test_sat_demo_rejects_vars_above_the_limit(self, capsys, n_vars):
@@ -819,13 +820,21 @@ class TestSolveCommand:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/game.json"]) == 2
-        assert "cannot read" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read /nonexistent/game.json: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path} is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+        )
 
     def test_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin.json"
@@ -839,6 +848,23 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {path} nests JSON arrays or objects too deeply\n"
+
+    def test_json_integer_over_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.load raises a plain ValueError for it: int refuses more than
+        # 4,300 digits.
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(_single_move_doc(1)).replace("[7]", f"[{'9' * 4301}]"))
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: Exceeds the limit (4300 ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_json_integer_at_the_digit_limit_solves(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(_single_move_doc(1)).replace("[7]", f"[{'9' * 4300}]"))
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out == f"play: x\noutcome: {'9' * 4300}\n"
 
     def test_repeated_moves_are_rejected(self, tmp_path, capsys):
         doc = {
@@ -956,9 +982,7 @@ class TestLawsCommand:
         monkeypatch.setattr("selcc.cli.run_all", run_all)
         assert main(["laws", "--samples", "-3"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "--samples" in captured.err
+        assert (captured.out, captured.err) == ("", "error: --samples must be at least 0\n")
 
     def test_samples_up_to_the_limit_are_accepted(self, capsys, monkeypatch):
         seen = []
@@ -1049,7 +1073,18 @@ class TestParserBuiltOnce:
             capture_output=True,
             text=True,
         )
+        negative_samples = subprocess.run(
+            [sys.executable, "-m", "selcc", "laws", "--samples", "-1"],
+            capture_output=True,
+            text=True,
+        )
         assert fresh.returncode == 0 and missing_vars.returncode == 2
+        # A refusal raised inside a command's handler exits 2 from the process too.
+        assert (
+            negative_samples.returncode,
+            negative_samples.stdout,
+            negative_samples.stderr,
+        ) == (2, "", "error: --samples must be at least 0\n")
 
         assert main(["demo-sat", "--formula", "0"]) == 2
         captured = capsys.readouterr()
