@@ -10,6 +10,11 @@ subcommand.  Two kinds of sweep are used:
 * seeded randomized sweeps over the trace and nondeterminism effects, whose
   value spaces (logs, alternative sets) are unbounded.
 
+Suites count cases in two ways: the three monad-law sweeps by table
+arithmetic (see the performance note), and every other suite as a generator
+of one ``(got, want)`` pair per case, which :func:`_tally` counts as failed
+where the two sides differ.
+
 Each fixture is written once for both monads: a computation over ``domain``
 answers in the monad's ``carrier`` (the domain for a selection, the results
 for a quantifier), which is all that tells the two apart, so one table
@@ -49,7 +54,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     QUANTIFIER,
@@ -102,6 +107,16 @@ class LawReport:
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+
+def _tally(pairs: Iterable[tuple[Any, Any]]) -> tuple[int, int]:
+    """Cases and failures of a tallied suite: one case per ``(got, want)``
+    pair, and one failure per pair whose sides differ."""
+    cases = failures = 0
+    for got, want in pairs:
+        cases += 1
+        failures += got != want
+    return cases, failures
 
 
 # ---------------------------------------------------------------------------
@@ -528,42 +543,41 @@ def _randomized_monad_failures(
     rand_comp = functools.partial(_random_computation, monad, fixture, rng, memo=memo)
     rand_eff_value = fixture.value
     unit, bind, run = monad.unit, monad.bind, monad.run
-    failures = 0
-    for _ in range(samples):
-        nx = rng.randrange(1, 4)
-        ny = rng.randrange(1, 4)
-        nz = rng.randrange(1, 4)
-        xs = tuple(range(nx))
-        ys = tuple(range(ny))
-        zs = tuple(range(nz))
-        r_values = tuple(range(rng.randrange(1, 4)))
-        if law == "left unit":
-            target = [rand_comp(ys, r_values) for _ in xs]
-            f = target.__getitem__
-            x = rng.randrange(nx)
-            k_table = [rand_eff_value(rng, r_values) for _ in ys]
-            k = k_table.__getitem__
-            if run(bind(unit(x, eff), f), k) != run(f(x), k):
-                failures += 1
-        elif law == "right unit":
-            eps = rand_comp(xs, r_values)
-            k_table = [rand_eff_value(rng, r_values) for _ in xs]
-            k = k_table.__getitem__
-            if run(bind(eps, lambda x: unit(x, eff)), k) != run(eps, k):
-                failures += 1
-        else:  # associativity
-            eps = rand_comp(xs, r_values)
-            f_list = [rand_comp(ys, r_values) for _ in xs]
-            g_list = [rand_comp(zs, r_values) for _ in ys]
-            f = f_list.__getitem__
-            g = g_list.__getitem__
-            k_table = [rand_eff_value(rng, r_values) for _ in zs]
-            k = k_table.__getitem__
-            lhs = bind(bind(eps, f), g)
-            rhs = bind(eps, lambda x: bind(f(x), g))
-            if run(lhs, k) != run(rhs, k):
-                failures += 1
-    return samples, failures
+
+    def pairs() -> Iterator[tuple[Any, Any]]:
+        for _ in range(samples):
+            nx = rng.randrange(1, 4)
+            ny = rng.randrange(1, 4)
+            nz = rng.randrange(1, 4)
+            xs = tuple(range(nx))
+            ys = tuple(range(ny))
+            zs = tuple(range(nz))
+            r_values = tuple(range(rng.randrange(1, 4)))
+            if law == "left unit":
+                target = [rand_comp(ys, r_values) for _ in xs]
+                f = target.__getitem__
+                x = rng.randrange(nx)
+                k_table = [rand_eff_value(rng, r_values) for _ in ys]
+                k = k_table.__getitem__
+                yield run(bind(unit(x, eff), f), k), run(f(x), k)
+            elif law == "right unit":
+                eps = rand_comp(xs, r_values)
+                k_table = [rand_eff_value(rng, r_values) for _ in xs]
+                k = k_table.__getitem__
+                yield run(bind(eps, lambda x: unit(x, eff)), k), run(eps, k)
+            else:  # associativity
+                eps = rand_comp(xs, r_values)
+                f_list = [rand_comp(ys, r_values) for _ in xs]
+                g_list = [rand_comp(zs, r_values) for _ in ys]
+                f = f_list.__getitem__
+                g = g_list.__getitem__
+                k_table = [rand_eff_value(rng, r_values) for _ in zs]
+                k = k_table.__getitem__
+                lhs = bind(bind(eps, f), g)
+                rhs = bind(eps, lambda x: bind(f(x), g))
+                yield run(lhs, k), run(rhs, k)
+
+    return _tally(pairs())
 
 
 def randomized_monad_reports(seed: int = 0, samples: int = 1000) -> list[LawReport]:
@@ -618,16 +632,19 @@ def _effect_laws(fixture: _EffectLaws, seed: int = 0) -> tuple[int, int]:
     n = max(fixture.sizes) + 1
     universe = values(n)
     rng = random.Random(f"{eff.name.lower()}-laws-{seed}")
-    for _ in range(fixture.samples):
-        m = rng.choice(universe)
-        f = [rng.choice(universe) for _ in range(n)].__getitem__
-        g = [rng.choice(universe) for _ in range(n)].__getitem__
-        a = rng.randrange(n)
-        cases += 3
-        failures += bind(unit(a), f) != f(a)
-        failures += bind(m, unit) != m
-        failures += bind(bind(m, f), g) != bind(m, lambda v: bind(f(v), g))
-    return cases, failures
+
+    def random_pairs() -> Iterator[tuple[Any, Any]]:
+        for _ in range(fixture.samples):
+            m = rng.choice(universe)
+            f = [rng.choice(universe) for _ in range(n)].__getitem__
+            g = [rng.choice(universe) for _ in range(n)].__getitem__
+            a = rng.randrange(n)
+            yield bind(unit(a), f), f(a)
+            yield bind(m, unit), m
+            yield bind(bind(m, f), g), bind(m, lambda v: bind(f(v), g))
+
+    random_cases, random_failures = _tally(random_pairs())
+    return cases + random_cases, failures + random_failures
 
 
 def effect_law_reports(seed: int = 0) -> list[LawReport]:
@@ -640,22 +657,17 @@ def effect_law_reports(seed: int = 0) -> list[LawReport]:
 # ---------------------------------------------------------------------------
 
 
-def _morphism_unit() -> tuple[int, int]:
-    cases = failures = 0
+def _morphism_unit() -> Iterator[tuple[Any, Any]]:
     for nx, nr in itertools.product(_EXHAUSTIVE_SIZES, repeat=2):
         conts = _continuations(nx, nr)
         for x in range(nx):
             lhs = to_quantifier(sel_unit(x)).runner
             rhs = quant_unit(x).runner
             for k in conts:
-                cases += 1
-                if lhs(k) != rhs(k):
-                    failures += 1
-    return cases, failures
+                yield lhs(k), rhs(k)
 
 
-def _morphism_bind() -> tuple[int, int]:
-    cases = failures = 0
+def _morphism_bind() -> Iterator[tuple[Any, Any]]:
     for nx, ny, nr in itertools.product(_EXHAUSTIVE_SIZES, repeat=3):
         xs = _table_computations(SELECTION, nx, nr)
         ys = _table_computations(SELECTION, ny, nr)
@@ -667,35 +679,29 @@ def _morphism_bind() -> tuple[int, int]:
                 lhs = to_quantifier(sel_bind(eps, f)).runner
                 rhs = quant_bind(to_quantifier(eps), mapped).runner
                 for k in conts:
-                    cases += 1
-                    if lhs(k) != rhs(k):
-                        failures += 1
-    return cases, failures
+                    yield lhs(k), rhs(k)
 
 
-def _exists_property() -> tuple[int, int]:
+def _exists_property() -> Iterator[tuple[Any, Any]]:
     # The final result of "choose, then use" equals using the chosen value:
     # for the boolean probe, over every predicate on booleans.
-    cases = failures = 0
     probe = bool_probe()
     for table in itertools.product((False, True), repeat=2):
         def p(b: bool, table=table) -> bool:
             return table[int(b)]
 
-        cases += 1
-        exists = run_quantifier(to_quantifier(probe), p)
-        if exists != p(run_selection(probe, p)):
-            failures += 1
-    return cases, failures
+        yield run_quantifier(to_quantifier(probe), p), p(run_selection(probe, p))
 
 
 def morphism_reports() -> list[LawReport]:
     """to_quantifier preserves unit and bind; choosing then using agrees with
     the quantifier's answer for the boolean probe."""
     return [
-        LawReport("morphism preserves unit (exhaustive)", *_morphism_unit()),
-        LawReport("morphism preserves bind (exhaustive)", *_morphism_bind()),
-        LawReport("probe: use-of-choice equals quantifier (4 predicates)", *_exists_property()),
+        LawReport("morphism preserves unit (exhaustive)", *_tally(_morphism_unit())),
+        LawReport("morphism preserves bind (exhaustive)", *_tally(_morphism_bind())),
+        LawReport(
+            "probe: use-of-choice equals quantifier (4 predicates)", *_tally(_exists_property())
+        ),
     ]
 
 
@@ -708,23 +714,25 @@ def agent_partition_reports() -> list[LawReport]:
     """fix and punk against their definitions: fix keeps, in domain order,
     each element its continuation result contains, and punk keeps the rest,
     so together they split every domain."""
-    cases = failures = 0
-    for size in range(4):
-        domain = tuple("abc"[:size])
-        alternative_sets = _nondet_sequences(domain) if domain else [NondetValue(())]
-        for combo in itertools.product(alternative_sets, repeat=max(size, 1)):
-            if size == 0:
-                k = {"": NondetValue(())}.__getitem__  # never called
-            else:
-                table = dict(zip(domain, combo))
-                k = table.__getitem__
-            fixed = run_selection(fix_selection(domain), k).alternatives
-            punks = run_selection(punk_selection(domain), k).alternatives
-            cases += 1
-            if (fixed != tuple(x for x in domain if x in k(x).alternatives)
-                    or punks != tuple(x for x in domain if x not in k(x).alternatives)):
-                failures += 1
-    return [LawReport("fix/punk partition the domain (exhaustive <=3)", cases, failures)]
+
+    def pairs() -> Iterator[tuple[Any, Any]]:
+        for size in range(4):
+            domain = tuple("abc"[:size])
+            alternative_sets = _nondet_sequences(domain) if domain else [NondetValue(())]
+            for combo in itertools.product(alternative_sets, repeat=max(size, 1)):
+                if size == 0:
+                    k = {"": NondetValue(())}.__getitem__  # never called
+                else:
+                    table = dict(zip(domain, combo))
+                    k = table.__getitem__
+                fixed = run_selection(fix_selection(domain), k).alternatives
+                punks = run_selection(punk_selection(domain), k).alternatives
+                yield (fixed, punks), (
+                    tuple(x for x in domain if x in k(x).alternatives),
+                    tuple(x for x in domain if x not in k(x).alternatives),
+                )
+
+    return [LawReport("fix/punk partition the domain (exhaustive <=3)", *_tally(pairs()))]
 
 
 # ---------------------------------------------------------------------------
@@ -735,23 +743,22 @@ def agent_partition_reports() -> list[LawReport]:
 def sat_correctness_report(max_arity: int = 3) -> LawReport:
     """Every truth-table formula up to ``max_arity``: the product solver
     satisfies the formula exactly when the exhaustive oracle finds a witness."""
-    cases = failures = 0
-    for arity in range(1, max_arity + 1):
-        rows = 2**arity
-        for table in itertools.product((False, True), repeat=rows):
-            def evaluate(bits: tuple[bool, ...], table=table) -> bool:
-                index = 0
-                for b in bits:
-                    index = index * 2 + int(b)
-                return table[index]
 
-            formula = BooleanFormula(arity, evaluate)
-            cases += 1
-            witness = sat_oracle(formula)
-            found = formula.evaluate(sat_product(formula))
-            if found != (witness is not None):
-                failures += 1
-    return LawReport(f"sat product vs oracle (exhaustive, arity <= {max_arity})", cases, failures)
+    def pairs() -> Iterator[tuple[Any, Any]]:
+        for arity in range(1, max_arity + 1):
+            rows = 2**arity
+            for table in itertools.product((False, True), repeat=rows):
+                def evaluate(bits: tuple[bool, ...], table=table) -> bool:
+                    index = 0
+                    for b in bits:
+                        index = index * 2 + int(b)
+                    return table[index]
+
+                formula = BooleanFormula(arity, evaluate)
+                yield formula.evaluate(sat_product(formula)), sat_oracle(formula) is not None
+
+    name = f"sat product vs oracle (exhaustive, arity <= {max_arity})"
+    return LawReport(name, *_tally(pairs()))
 
 
 def _random_sequential_game(rng: random.Random) -> SequentialGameSpec:
@@ -780,32 +787,31 @@ def backward_induction_reports(seed: int = 0, samples: int = 1000) -> list[LawRe
     exhaustive over two-stage, two-move, {0,1}-payoff games, then randomized
     (``samples`` games; ``ValueError`` if negative)."""
     _check_samples(samples)
-    cases = failures = 0
     moves = ("a", "b")
     plays = list(itertools.product(moves, moves))
-    for payoff_combo in itertools.product(
-        tuple(itertools.product((0, 1), repeat=2)), repeat=len(plays)
-    ):
-        table = dict(zip(plays, payoff_combo))
-        game = SequentialGameSpec(
-            players=("P0", "P1"),
-            stages=(Stage(0, moves), Stage(1, moves)),
-            payoff=table.__getitem__,
-        )
-        cases += 1
-        if backward_induction(game) != backward_induction_oracle(game):
-            failures += 1
-    exhaustive = LawReport("backward induction vs oracle (exhaustive 2x2x{0,1})", cases, failures)
 
+    def exhaustive_games() -> Iterator[SequentialGameSpec]:
+        for payoff_combo in itertools.product(
+            tuple(itertools.product((0, 1), repeat=2)), repeat=len(plays)
+        ):
+            table = dict(zip(plays, payoff_combo))
+            yield SequentialGameSpec(
+                players=("P0", "P1"),
+                stages=(Stage(0, moves), Stage(1, moves)),
+                payoff=table.__getitem__,
+            )
+
+    def pairs(games: Iterable[SequentialGameSpec]) -> Iterator[tuple[Any, Any]]:
+        for game in games:
+            yield backward_induction(game), backward_induction_oracle(game)
+
+    exhaustive = _tally(pairs(exhaustive_games()))
     rng = random.Random(f"bi-{seed}")
-    cases = failures = 0
-    for _ in range(samples):
-        game = _random_sequential_game(rng)
-        cases += 1
-        if backward_induction(game) != backward_induction_oracle(game):
-            failures += 1
-    randomized = LawReport("backward induction vs oracle (randomized)", cases, failures)
-    return [exhaustive, randomized]
+    randomized = _tally(pairs(_random_sequential_game(rng) for _ in range(samples)))
+    return [
+        LawReport("backward induction vs oracle (exhaustive 2x2x{0,1})", *exhaustive),
+        LawReport("backward induction vs oracle (randomized)", *randomized),
+    ]
 
 
 def sum_equilibria_report() -> LawReport:
@@ -814,18 +820,18 @@ def sum_equilibria_report() -> LawReport:
     moves = ("a", "b")
     cells = list(itertools.product(moves, moves))
     utility_pairs = list(itertools.product((0, 1, 2), repeat=2))
-    cases = failures = 0
-    for payoff_combo in itertools.product(utility_pairs, repeat=len(cells)):
-        table = dict(zip(cells, payoff_combo))
-        game = SimultaneousGameSpec(
-            players=("Row", "Col"),
-            moves=(moves, moves),
-            payoff=lambda x, y, table=table: table[(x, y)],
-        )
-        cases += 1
-        if simultaneous_equilibria(game) != nash_oracle(game):
-            failures += 1
-    return LawReport("sum of argmax players vs nash oracle (6561 games)", cases, failures)
+
+    def pairs() -> Iterator[tuple[Any, Any]]:
+        for payoff_combo in itertools.product(utility_pairs, repeat=len(cells)):
+            table = dict(zip(cells, payoff_combo))
+            game = SimultaneousGameSpec(
+                players=("Row", "Col"),
+                moves=(moves, moves),
+                payoff=lambda x, y, table=table: table[(x, y)],
+            )
+            yield simultaneous_equilibria(game), nash_oracle(game)
+
+    return LawReport("sum of argmax players vs nash oracle (6561 games)", *_tally(pairs()))
 
 
 def _beside(call: Callable[[], Any]) -> Callable[..., Any]:

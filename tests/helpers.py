@@ -1,0 +1,32 @@
+"""Helpers shared by several test modules; pytest collects no tests here."""
+from __future__ import annotations
+
+import inspect
+import sys
+import textwrap
+
+
+def source_mutant(function, *edits: tuple[str, str]):
+    """``function`` with each ``(old, new)`` edit made to its source, compiled
+    in a copy of its module's namespace."""
+    module = sys.modules[function.__module__]
+    source = textwrap.dedent(inspect.getsource(function))
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new)
+    namespace = dict(vars(module))
+    exec(compile(source, module.__file__, "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def unshared_callcc_term(monad, handler, eff):
+    """The paper's term as written, ``λk1. handler(λx. λk2. k1(x))(k1)``:
+    every run of a reified computation runs ``k1(x)`` again."""
+
+    def run(k1):
+        def reified(x):
+            return monad.computation(lambda k2: k1(x), eff)
+
+        return monad.run(handler(reified), k1)
+
+    return monad.computation(run, eff)

@@ -1,10 +1,8 @@
 """Tests for call-with-current-continuation in both computation flavours."""
 from __future__ import annotations
 
-import inspect
 import itertools
 import runpy
-import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +29,8 @@ from selcc import (
 from selcc import callcc
 from selcc.core import QUANTIFIER, SELECTION
 
+from helpers import source_mutant, unshared_callcc_term
+
 
 class TestSharedDefinition:
     def test_both_flavours_delegate_to_one_term(self):
@@ -38,19 +38,6 @@ class TestSharedDefinition:
         sel_names = callcc_selection.__code__.co_names
         assert "_callcc_term" in quant_names
         assert "_callcc_term" in sel_names
-
-
-def _unshared_callcc_term(monad, handler, eff):
-    """The paper's term as written, ``λk1. handler(λx. λk2. k1(x))(k1)``:
-    every run of a reified computation runs ``k1(x)`` again."""
-
-    def run(k1):
-        def reified(x):
-            return monad.computation(lambda k2: k1(x), eff)
-
-        return monad.run(handler(reified), k1)
-
-    return monad.computation(run, eff)
 
 
 def _fork(monad, eff):
@@ -102,7 +89,7 @@ def _assert_runs_each_reified_continuation_once(term) -> None:
     """``term`` answers and logs as the unshared term does, in both monads,
     and calls the continuation once per reified computation."""
     for monad in (SELECTION, QUANTIFIER):
-        want, want_seen, want_handlers = _run_forked_program(_unshared_callcc_term, monad)
+        want, want_seen, want_handlers = _run_forked_program(unshared_callcc_term, monad)
         got, seen, handlers = _run_forked_program(term, monad)
         assert got == want, monad.name
         assert handlers == want_handlers >= 3, monad.name
@@ -115,17 +102,6 @@ def _assert_runs_each_reified_continuation_once(term) -> None:
         assert want_seen.count("left") > handlers, monad.name
 
 
-def _callcc_term_mutant(*edits: tuple[str, str]):
-    """``callcc._callcc_term`` with each ``(old, new)`` edit made to its source."""
-    source = textwrap.dedent(inspect.getsource(callcc._callcc_term))
-    for old, new in edits:
-        assert old in source
-        source = source.replace(old, new)
-    namespace = dict(vars(callcc))
-    exec(compile(source, callcc.__file__, "exec"), namespace)
-    return namespace["_callcc_term"]
-
-
 class TestReifiedContinuationRunsOnce:
     """The reified computation ``λk2. k1(x)`` never reads ``k2``, so its
     value is fixed once it is built; the term runs ``k1(x)`` on its first
@@ -135,7 +111,8 @@ class TestReifiedContinuationRunsOnce:
         _assert_runs_each_reified_continuation_once(callcc._callcc_term)
 
     def test_one_answer_per_run_of_the_term_is_caught(self):
-        per_run = _callcc_term_mutant(
+        per_run = source_mutant(
+            callcc._callcc_term,
             ("            answer: list[Any] = []\n\n", ""),
             (
                 "        def reified(x: Any) -> Any:\n",

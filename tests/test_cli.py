@@ -5,14 +5,12 @@ import contextlib
 import enum
 import hashlib
 import io
-import inspect
 import itertools
 import json
 import random
 import re
 import subprocess
 import sys
-import textwrap
 import time
 from collections import Counter
 from unittest import mock
@@ -44,6 +42,8 @@ from selcc.cli import (
     MAX_LAW_SAMPLES,
     MAX_SEQUENTIAL_STAGES,
 )
+
+from helpers import source_mutant
 
 _SEQ_DOC = {
     "type": "sequential",
@@ -559,17 +559,6 @@ def _assert_payoff_tables_agree_with_the_reference() -> None:
     assert outcomes[str] > 300 and outcomes[list] > 300, outcomes
 
 
-def _payoff_table_mutant(*edits: tuple[str, str]):
-    """``_parse_payoff_table`` with each ``(old, new)`` edit made to its source."""
-    source = textwrap.dedent(inspect.getsource(cli._parse_payoff_table))
-    for old, new in edits:
-        assert old in source
-        source = source.replace(old, new)
-    namespace = dict(vars(cli))
-    exec(compile(source, cli.__file__, "exec"), namespace)
-    return namespace["_parse_payoff_table"]
-
-
 class TestBulkPayoffCheck:
     def test_tables_and_faults_agree_with_the_per_play_reference(self):
         _assert_payoff_tables_agree_with_the_reference()
@@ -593,7 +582,8 @@ class TestBulkPayoffCheck:
         ids=["accepts bool", "skips the key count"],
     )
     def test_a_weaker_bulk_check_is_caught(self, monkeypatch, old, new):
-        monkeypatch.setattr(cli, "_parse_payoff_table", _payoff_table_mutant((old, new)))
+        mutant = source_mutant(cli._parse_payoff_table, (old, new))
+        monkeypatch.setattr(cli, "_parse_payoff_table", mutant)
         with pytest.raises(AssertionError):
             _assert_payoff_tables_agree_with_the_reference()
 
@@ -602,9 +592,13 @@ class TestBulkPayoffCheck:
     @pytest.mark.parametrize("kind", ["sequential", "simultaneous"])
     def test_the_bulk_check_alone_rejects_shared_keys(self, kind):
         no_lazy_check = ("if math.prod(map(len, move_lists)) > len(payoffs):", "if False:")
-        _assert_shared_keys_are_rejected(_payoff_table_mutant(no_lazy_check), kind)
-        shares_keys = _payoff_table_mutant(
-            no_lazy_check, ("== len(set(keys)) == len(keys)", "== len(set(keys))")
+        _assert_shared_keys_are_rejected(
+            source_mutant(cli._parse_payoff_table, no_lazy_check), kind
+        )
+        shares_keys = source_mutant(
+            cli._parse_payoff_table,
+            no_lazy_check,
+            ("== len(set(keys)) == len(keys)", "== len(set(keys))"),
         )
         with pytest.raises(AssertionError):
             _assert_shared_keys_are_rejected(shares_keys, kind)

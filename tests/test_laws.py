@@ -7,14 +7,14 @@ check the base effects' laws; here they are compared with a direct sweep
 that interns nothing, on the base effects' real binds and on broken ones.
 Both the exhaustive and the randomized drivers are fed deliberately broken
 binds to show that they report failures, and the morphism and equilibrium
-suites a broken ``to_quantifier`` and ``sum_selections``, patched into the
-names ``selcc.laws`` and ``selcc.games`` call, as the agent,
-backward-induction and SAT suites are fed broken agents, players and
+suites a broken ``to_quantifier``, ``quant_unit`` and ``sum_selections``,
+patched into the names ``selcc.laws`` and ``selcc.games`` call, as the
+agent, backward-induction and SAT suites are fed broken agents, players and
 solvers; this module also covers every other suite, the reporting contract
 and ``run_all``'s forked child.  Beyond ``selcc laws``, it checks the two
-lift laws over each effect record's universe, pins the random stream of the
-randomized sweeps' generator, and shows that one more effect record is swept
-by both effect drivers.
+lift laws over each effect record's universe and over a trace universe with
+two log lines, pins the random stream of the randomized sweeps' generator,
+and shows that one more effect record is swept by both effect drivers.
 """
 from __future__ import annotations
 
@@ -478,6 +478,15 @@ def _mixes_up_the_lifts(monad):
     return lambda m, eff: QuantifierComputation(lambda k: m, eff)
 
 
+def _performs_twice(monad):
+    """A broken lift for ``monad`` that performs its effect value twice."""
+    if monad is SELECTION:
+        return lambda m, eff: SelectionComputation(lambda k: eff.bind(m, lambda _: m), eff)
+    return lambda m, eff: QuantifierComputation(
+        lambda k: eff.bind(m, lambda _: eff.bind(m, k)), eff
+    )
+
+
 # Cases per effect: (unit, bind).
 _LIFT_CASES = {"Identity": (13, 59), "Trace": (46, 1560), "Nondet": (65, 4083)}
 
@@ -493,10 +502,7 @@ class TestLiftLaws:
         }
 
     # Failures per effect: (unit, bind).  Over the identity effect the
-    # broken selection lift performs nothing more, so it is lawful there.  A
-    # lift that performs its value twice is not caught at all: it breaks the
-    # bind law only in the order of log lines, and the trace universe has
-    # one line.
+    # broken selection lift performs nothing more, so it is lawful there.
     @pytest.mark.parametrize(
         "monad, failures",
         [
@@ -512,6 +518,30 @@ class TestLiftLaws:
             assert _lift_law_counts(monad, _LAWS[effect], broken) == {
                 "unit": (unit_cases, unit_failures), "bind": (bind_cases, bind_failures),
             }, effect
+
+    # A lift that performs its value twice breaks the bind law only in the
+    # order of log lines: the effect record's trace universe has one line, so
+    # it cannot see the fault, and a universe with two lines can.
+    _TWO_LINES = _LAWS["Trace"]._replace(
+        values=lambda n: [TraceValue(log, v) for log in ((), ("a",), ("b",)) for v in range(n)]
+    )
+
+    @pytest.mark.parametrize("monad", [SELECTION, QUANTIFIER], ids=lambda m: m.name)
+    def test_lift_is_a_monad_morphism_over_two_log_lines(self, monad):
+        assert _lift_law_counts(monad, self._TWO_LINES, monad.lift) == {
+            "unit": (99, 0), "bind": (11097, 0),
+        }
+
+    @pytest.mark.parametrize("monad", [SELECTION, QUANTIFIER], ids=lambda m: m.name)
+    def test_a_lift_performing_its_value_twice_is_caught_by_two_log_lines(self, monad):
+        twice = _performs_twice(monad)
+        unit_cases, bind_cases = _LIFT_CASES["Trace"]
+        assert _lift_law_counts(monad, _LAWS["Trace"], twice) == {
+            "unit": (unit_cases, 0), "bind": (bind_cases, 0),
+        }
+        assert _lift_law_counts(monad, self._TWO_LINES, twice) == {
+            "unit": (99, 0), "bind": (11097, 2466),
+        }
 
 
 def _reference_digest(value):
@@ -949,6 +979,15 @@ class TestMorphismLaws:
         monkeypatch.setattr(laws, "to_quantifier", _scores_every_candidate_at_0)
         assert [(r.cases, r.failures) for r in morphism_reports()] == [
             (13, 0), (16495, 1024), (4, 2)
+        ]
+
+    def test_a_quantifier_unit_running_the_continuation_at_0_fails(self, monkeypatch):
+        # Only x = 1 tells it apart, on the two continuations with k(0) != k(1).
+        monkeypatch.setattr(
+            laws, "quant_unit", lambda x: QuantifierComputation(lambda k: k(0), identity_effect())
+        )
+        assert [(r.cases, r.failures) for r in morphism_reports()] == [
+            (13, 2), (16495, 0), (4, 0)
         ]
 
 

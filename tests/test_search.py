@@ -1,10 +1,8 @@
 """Tests for the probe selection and the three SAT entry points."""
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
-import textwrap
 
 import pytest
 from hypothesis import given
@@ -12,7 +10,6 @@ from hypothesis import strategies as st
 
 from selcc import (
     BooleanFormula,
-    SelectionComputation,
     TraceValue,
     bool_probe,
     format_assignment,
@@ -30,6 +27,9 @@ from selcc import (
     trace_effect,
 )
 from selcc import search
+from selcc.core import SELECTION
+
+from helpers import source_mutant, unshared_callcc_term
 
 _TARGET = BooleanFormula(3, lambda b: b[0] and not b[1] and b[2])
 
@@ -250,17 +250,6 @@ class TestSatProductEvaluationCounts:
         assert calls[0] == 20
 
 
-def _unshared_callcc_selection(handler, eff):
-    """The paper's call/cc as written, ``λk1. handler(λx. λk2. k1(x))(k1)``:
-    every run of a reified computation runs ``k1(x)`` again."""
-
-    def chooser(k1):
-        reified = lambda x: SelectionComputation(lambda k2: k1(x), eff)
-        return run_selection(handler(reified), k1)
-
-    return SelectionComputation(chooser, eff)
-
-
 def _reference_sat_callcc(formula: BooleanFormula):
     """``sat_callcc`` as it was before it built its fixed stages once per
     search: every continuation call rebuilds its per-variable stage, its
@@ -298,7 +287,7 @@ def _reference_sat_callcc(formula: BooleanFormula):
         return log(f"Continuation called with {format_assignment(bits)}")
 
     program = sel_bind(
-        _unshared_callcc_selection(step, eff),
+        unshared_callcc_term(SELECTION, step, eff),
         lambda bits: sel_map(call_line(bits), lambda _: bits),
     )
     outcome = run_selection(program, lambda bits: eff.unit(formula.evaluate(bits)))
@@ -349,18 +338,6 @@ def _assert_sat_callcc_matches_the_reference(seed: int = 0, count: int = 300) ->
     assert min(kinds.values()) >= 40, kinds
 
 
-def _sat_callcc_outcome_mutant(*edits: tuple[str, str]):
-    """``search._sat_callcc_outcome`` with each ``(old, new)`` edit made to
-    its source."""
-    source = textwrap.dedent(inspect.getsource(search._sat_callcc_outcome))
-    for old, new in edits:
-        assert old in source
-        source = source.replace(old, new)
-    namespace = dict(vars(search))
-    exec(compile(source, search.__file__, "exec"), namespace)
-    return namespace["_sat_callcc_outcome"]
-
-
 class TestSatCallccAgainstTheReference:
     """The search builds its fixed stages once; its logs and answers must be
     those of the program that rebuilt them on every continuation call."""
@@ -372,8 +349,10 @@ class TestSatCallccAgainstTheReference:
         assert sat_callcc(_INT_VALUED) == _reference_sat_callcc(_INT_VALUED)
 
     def test_reusing_the_bool_stages_for_0_and_1_is_caught(self, monkeypatch):
-        by_equality = _sat_callcc_outcome_mutant(
-            ("if b is True:", "if b == True:"), ("if b is False:", "if b == False:")
+        by_equality = source_mutant(
+            search._sat_callcc_outcome,
+            ("if b is True:", "if b == True:"),
+            ("if b is False:", "if b == False:"),
         )
         monkeypatch.setattr(search, "_sat_callcc_outcome", by_equality)
         with pytest.raises(AssertionError):
