@@ -53,8 +53,8 @@ class GameFileError(_UsageError):
 
 
 # The deepest sequential game ``solve`` accepts.  Backward induction nests
-# three Python frames per stage at the payoff call (``sel_sequence``'s
-# ``run_from``, the argmax player's chooser and its scoring continuation), so
+# three Python frames per stage at the payoff call (``sel_sequence``'s stage
+# runner, the argmax player's chooser and its scoring continuation), so
 # 100 stages stay inside the default recursion limit of 1000 (measured on
 # single-move games with Python 3.11: 330 stages still solve in-process, 331
 # do not; under pytest, 317 and 318).

@@ -279,17 +279,19 @@ def sel_sequence(
 
     It is the right fold of binary products, each step ``sel_bind(c, lambda
     x: sel_map(rest, lambda xs: (x,) + xs))``, so later computations are
-    inner: they see earlier choices through the continuation.  It runs as
-    one chooser that passes the chosen prefix down.  ``run_from(i, prefix,
-    k)`` gives the whole tuples that start with ``prefix``: stage ``i``
-    scores a candidate ``x`` by binding ``run_from(i + 1, prefix + (x,),
-    k)`` into ``k`` and answers with the run of its choice, from a memo as
-    in :func:`sel_bind` or, under ``rerun=True``, run again.  At the last
-    stage there is no run: the stage's choice is mapped to ``prefix + (x,)``
-    with the effect's ``map``, which is exactly binding it into the unit at
-    ``prefix + (x,)``, and a candidate is scored as ``k(prefix + (x,))``: by
-    the left-unit law that is binding that unit into ``k``, for nondet on
-    duplicate-free results of ``k``, as in :func:`sel_map`.  This equals the
+    inner: they see earlier choices through the continuation.  Each run of
+    its chooser builds one runner per stage over that run's ``k``,
+    innermost first.  Stage ``i``'s runner gives the whole tuples that
+    start with its argument ``prefix``: it scores a candidate ``x`` by
+    binding the next runner at ``prefix + (x,)`` into ``k`` and answers
+    with the run of its choice, from a memo as in :func:`sel_bind` or,
+    under ``rerun=True``, run again.  The prefix is an argument because a
+    reified continuation may score out of nesting order.  The last runner
+    maps its choice to ``prefix + (x,)`` with the effect's ``map``, which is
+    binding it into the unit at ``prefix + (x,)``, and scores a candidate
+    as ``k(prefix + (x,))``: by the left-unit law that is binding that unit
+    into ``k``, for nondet on duplicate-free results of ``k``, as in
+    :func:`sel_map`.  This equals the
     fold because ``bind(map(m, prefix +), k) == bind(m, lambda xs: k(prefix
     + xs))`` (for nondet because ``prefix +`` is injective, so dedup commutes
     with it): answers, logs, continuation calls and chooser runs are the
@@ -313,39 +315,54 @@ def sel_sequence(
     bind_m = effect.bind
     map_m = effect.map
     choosers = [comp.chooser for comp in comps]
-    final = len(comps) - 1
+    last = choosers.pop()
 
-    def run_from(i: int, prefix: tuple[Any, ...], k: Continuation) -> Any:
-        if i == final:
-
-            def extended(x: Any) -> Any:
-                return k(prefix + (x,))
-
-            return map_m(choosers[i](extended), lambda x: prefix + (x,))
-
+    def stage(
+        chooser: Callable[[Continuation], Any],
+        after: Callable[[tuple[Any, ...]], Any],
+        k: Continuation,
+    ) -> Callable[[tuple[Any, ...]], Any]:
         if rerun:
 
-            def chosen(x: Any) -> Any:
-                return run_from(i + 1, prefix + (x,), k)
+            def run(prefix: tuple[Any, ...]) -> Any:
+                def extended(x: Any) -> Any:
+                    return bind_m(after(prefix + (x,)), k)
 
-            def extended(x: Any) -> Any:
-                return bind_m(run_from(i + 1, prefix + (x,), k), k)
+                def chosen(x: Any) -> Any:
+                    return after(prefix + (x,))
 
-        else:
+                return bind_m(chooser(extended), chosen)
+
+            return run
+
+        def run(prefix: tuple[Any, ...]) -> Any:
             runs: dict[int, tuple[Any, Any]] = {}
 
             def extended(x: Any) -> Any:
-                inner = run_from(i + 1, prefix + (x,), k)
+                inner = after(prefix + (x,))
                 runs[id(x)] = (x, inner)
                 return bind_m(inner, k)
 
             def chosen(x: Any) -> Any:
-                run = runs.get(id(x))
-                return run[1] if run is not None else run_from(i + 1, prefix + (x,), k)
+                entry = runs.get(id(x))
+                return entry[1] if entry is not None else after(prefix + (x,))
 
-        return bind_m(choosers[i](extended), chosen)
+            return bind_m(chooser(extended), chosen)
 
-    return SelectionComputation(lambda k: run_from(0, (), k), effect)
+        return run
+
+    def top(k: Continuation) -> Any:
+        def run(prefix: tuple[Any, ...]) -> Any:
+            def extended(x: Any) -> Any:
+                return k(prefix + (x,))
+
+            return map_m(last(extended), lambda x: prefix + (x,))
+
+        for chooser in reversed(choosers):
+            run = stage(chooser, run, k)
+        return run(())
+
+    return SelectionComputation(top, effect)
 
 
 def run_selection(eps: SelectionComputation[X, R], k: Continuation) -> Any:

@@ -155,7 +155,9 @@ def _dedup(items: Sequence[Any]) -> tuple[Any, ...]:
 
 
 def _nondet_unit(a: Any) -> NondetValue[Any]:
-    return NondetValue((a,))
+    value = object.__new__(NondetValue)
+    _set_alternatives(value, (a,))
+    return value
 
 
 def _nondet_bind(m: NondetValue[Any], f: Callable[[Any], NondetValue[Any]]) -> NondetValue[Any]:

@@ -154,15 +154,18 @@ def nondet_argmax_selection(
     project = key if key is not None else (lambda value: value)
 
     def chooser(k: Callable[[X], NondetValue]) -> NondetValue:
-        scored: list[tuple[X, int]] = []
+        best = 0
+        maximisers: list[X] = []
         for x in elements:
             alternatives = k(x).alternatives
             if alternatives:
-                scored.append((x, max(map(project, alternatives))))
-        if not scored:
-            return NondetValue(())
-        best = max(score for _, score in scored)
-        return NondetValue(tuple(x for x, score in scored if score == best))
+                score = max(map(project, alternatives))
+                if not maximisers or score > best:
+                    best = score
+                    maximisers = [x]
+                elif score == best:
+                    maximisers.append(x)
+        return NondetValue(tuple(maximisers))
 
     return SelectionComputation(chooser, eff)
 

@@ -2,8 +2,20 @@
 from __future__ import annotations
 
 import inspect
+import os
 import sys
 import textwrap
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with the checkout's ``src`` first on
+    ``PYTHONPATH``, so a child Python process imports the same ``selcc``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 def source_mutant(function, *edits: tuple[str, str]):

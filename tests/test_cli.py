@@ -43,7 +43,7 @@ from selcc.cli import (
     MAX_SEQUENTIAL_STAGES,
 )
 
-from helpers import source_mutant
+from helpers import child_env, source_mutant
 
 _SEQ_DOC = {
     "type": "sequential",
@@ -1042,6 +1042,7 @@ class TestUsageErrors:
             [sys.executable, "-m", "selcc", "demo-callcc", "--which", "foo"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[-1] == "1"
@@ -1059,18 +1060,21 @@ class TestParserBuiltOnce:
         # argparse wraps usage at $COLUMNS, so pin it for both sides.
         monkeypatch.setenv("COLUMNS", "80")
         sat = ["demo-sat", "--vars", "3", "--formula", "0&!1&2"]
+        env = child_env()
         fresh = subprocess.run(
-            [sys.executable, "-m", "selcc", *sat], capture_output=True, text=True
+            [sys.executable, "-m", "selcc", *sat], capture_output=True, text=True, env=env
         )
         missing_vars = subprocess.run(
             [sys.executable, "-m", "selcc", "demo-sat", "--formula", "0"],
             capture_output=True,
             text=True,
+            env=env,
         )
         negative_samples = subprocess.run(
             [sys.executable, "-m", "selcc", "laws", "--samples", "-1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert fresh.returncode == 0 and missing_vars.returncode == 2
         # A refusal raised inside a command's handler exits 2 from the process too.

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from selcc import (
     QuantifierComputation,
     SelectionComputation,
     TraceValue,
+    argmax_selection,
     identity_effect,
     invoke_coercion,
     nondet_argmax_selection,
@@ -30,6 +32,8 @@ from selcc import (
     trace_effect,
 )
 from selcc.search import bool_probe
+
+from helpers import source_mutant
 
 _ID = identity_effect()
 
@@ -338,6 +342,81 @@ class TestSelSequence:
         binds, calls = derived
         assert run(EffectInstance(base.name, base.unit, bind)) == (binds, 0, calls)
         assert run(EffectInstance(base.name, base.unit, bind, map_)) == native
+
+
+def _nested_run_mismatches(sequence, effect: str, rerun: bool) -> tuple[int, int]:
+    """Run ``sequence``'s three-stage argmax product over ``effect`` on
+    moves 0-2 again from each call of the outer run's continuation, under an
+    inner continuation that scores every play the other way round.  Returns
+    the number of inner runs, and how many answers (the outer one and each
+    inner one) differ from separate runs of :func:`sel_sequence`."""
+    if effect == "nondet":
+        players = [nondet_argmax_selection(range(3)) for _ in range(3)]
+        result = lambda xs, score: NondetValue((score,))
+    elif effect == "trace":
+        eff = trace_effect()
+        players = [argmax_selection(range(3), eff, key=lambda t: t.value) for _ in range(3)]
+        result = lambda xs, score: TraceValue((str(xs),), score)
+    else:
+        players = [argmax_selection(range(3)) for _ in range(3)]
+        result = lambda xs, score: score
+    product = sequence(players, rerun=rerun)
+    rng = random.Random(26)
+    outer_scores = {xs: rng.randint(0, 4) for xs in itertools.product(range(3), repeat=3)}
+
+    def inner_k(xs):
+        return result(xs, 4 - outer_scores[xs])
+
+    separate_inner = run_selection(sel_sequence(players, rerun=rerun), inner_k)
+    separate_outer = run_selection(
+        sel_sequence(players, rerun=rerun), lambda xs: result(xs, outer_scores[xs])
+    )
+    assert separate_inner != separate_outer
+    inner_answers = []
+
+    def outer_k(xs):
+        inner_answers.append(run_selection(product, inner_k))
+        return result(xs, outer_scores[xs])
+
+    outer_answer = run_selection(product, outer_k)
+    mismatches = (outer_answer != separate_outer) + sum(a != separate_inner for a in inner_answers)
+    return len(inner_answers), mismatches
+
+
+def _one_continuation_per_product(sequence):
+    """A broken product: its runners read one continuation cell that every
+    run overwrites, so a nested run leaves its own ``k`` behind."""
+    return source_mutant(
+        sequence,
+        (
+            "    def top(k: Continuation) -> Any:\n",
+            "    current = [None]\n\n    def top(k: Continuation) -> Any:\n        current[0] = k\n",
+        ),
+        ("                return k(prefix + (x,))", "                return current[0](prefix + (x,))"),
+        (
+            "            run = stage(chooser, run, k)",
+            "            run = stage(chooser, run, lambda xs: current[0](xs))",
+        ),
+    )
+
+
+class TestSelSequenceRunnersPerRun:
+    """Each run of a product builds its own stage runners, so a continuation
+    may run the same product again, under another continuation, while the
+    outer run is still scoring."""
+
+    @pytest.mark.parametrize("rerun", [False, True], ids=["memo", "rerun"])
+    @pytest.mark.parametrize("effect", ["identity", "trace", "nondet"])
+    def test_a_run_inside_a_continuation_equals_a_separate_run(self, effect, rerun):
+        inner_runs, mismatches = _nested_run_mismatches(sel_sequence, effect, rerun)
+        assert inner_runs >= 27
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("rerun", [False, True], ids=["memo", "rerun"])
+    @pytest.mark.parametrize("effect", ["identity", "trace", "nondet"])
+    def test_the_check_catches_one_continuation_per_product(self, effect, rerun):
+        broken = _one_continuation_per_product(sel_sequence)
+        assert _nested_run_mismatches(broken, effect, rerun)[1] > 0
 
 
 class TestRunners:

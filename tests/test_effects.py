@@ -470,6 +470,20 @@ def _skips_the_alternatives(self, alternatives):
     pass
 
 
+class TestNondetUnit:
+    """The nondet unit builds its value without calling ``__init__``."""
+
+    def test_the_unit_is_the_one_alternative_value(self):
+        for a in _FIELD_VALUES:
+            unit, built = effects._nondet_unit(a), NondetValue((a,))
+            assert type(unit) is NondetValue
+            assert unit == built
+            assert _outcome(hash, unit) == _outcome(hash, built)
+            assert repr(unit) == repr(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                unit.alternatives = ()
+
+
 class TestValueTypesBehaveLikePlainDataclasses:
     """``TraceValue`` and ``NondetValue`` store their fields through their
     slots; nothing else about them may differ from a plain frozen slots

@@ -30,6 +30,8 @@ from selcc import (
 )
 from selcc.games import _repeated_index
 
+from helpers import source_mutant
+
 _SCORES = (-2, -1, 0, 1, 2)
 
 
@@ -289,6 +291,44 @@ class TestArgmaxAgainstReference:
     def test_the_check_catches_scored_empty_results(self):
         cases, mismatches = _nondet_argmax_mismatches(_empty_scoring_nondet_argmax)
         assert cases == 240
+        assert mismatches > 0
+
+
+def _two_pass_mismatches(argmax) -> tuple[int, int, int, int]:
+    """(cases, tied cases, empty answers, mismatches) of ``argmax`` against the two-pass
+    rule of :func:`_reference_nondet_argmax`, answers and continuation calls
+    both, over seeded integer tables on one to ten moves where each move's
+    result is empty one time in four and otherwise holds one or two scores
+    out of three, so most tables tie and some leave nothing to score."""
+    rng = random.Random(26)
+    cases = tied = empty = mismatches = 0
+    for m in range(1, 11):
+        moves = tuple(range(m))
+        for _ in range(30):
+            table = {
+                x: NondetValue(() if rng.random() < 0.25 else tuple(rng.sample(range(3), rng.randint(1, 2))))
+                for x in moves
+            }
+            expected = _observe_chooser(_reference_nondet_argmax(moves), table)
+            cases += 1
+            tied += len(expected[0].alternatives) > 1
+            empty += not expected[0].alternatives
+            mismatches += _observe_chooser(argmax(moves), table) != expected
+    return cases, tied, empty, mismatches
+
+
+class TestNondetArgmaxOnePass:
+    """The chooser scores in one pass; it keeps the two-pass rule's answer:
+    the best score first, then every element that reaches it, in domain
+    order."""
+
+    def test_one_pass_equals_the_two_pass_rule(self):
+        assert _two_pass_mismatches(nondet_argmax_selection) == (300, 194, 14, 0)
+
+    def test_the_check_catches_restarting_on_a_tie(self):
+        keeps_the_last = source_mutant(nondet_argmax_selection, ("score > best", "score >= best"))
+        cases, _, _, mismatches = _two_pass_mismatches(keeps_the_last)
+        assert cases == 300
         assert mismatches > 0
 
 

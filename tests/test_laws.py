@@ -76,6 +76,8 @@ from selcc.laws import (
     _table_fn,
 )
 
+from helpers import child_env
+
 # Each base effect's law record, by effect name.
 _LAWS = {fixture.effect.name: fixture for fixture in laws._EFFECTS}
 
@@ -1187,6 +1189,8 @@ class TestRunAll:
             "import sys, selcc\n"
             "print(sorted(m for m in ('pickle', 'multiprocessing', 'concurrent.futures') if m in sys.modules))"
         )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
