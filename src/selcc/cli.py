@@ -55,20 +55,19 @@ class GameFileError(_UsageError):
 # The deepest sequential game ``solve`` accepts.  Backward induction nests
 # three Python frames per stage at the payoff call (``sel_sequence``'s stage
 # runner, the argmax player's chooser and its scoring continuation), so
-# 100 stages stay inside the default recursion limit of 1000 (measured on
-# single-move games with Python 3.11: 330 stages still solve in-process, 331
-# do not; under pytest, 317 and 318).
+# 100 stages stay inside the default recursion limit of 1000.  How many
+# more fit depends on the caller's stack (single-move games, Python 3.11):
+# ``backward_induction`` called from a top-level script or from a function
+# it calls solves 331 stages and fails at 332; ``main(["solve", path])``
+# called from a top-level script, with this limit lifted, solves 330 and
+# fails at 331; a pytest 9 test function, 33 frames deep, solves 318 and
+# fails at 319.
 MAX_SEQUENTIAL_STAGES = 100
 
 # The most variables ``demo-sat`` accepts, the same arity limit as
-# ``sat_oracle``.  The search's trace log has 5 * 2**n - 4 lines, so time and
-# memory double per variable.  Measured on a 2-core Linux x86-64 machine with
-# Python 3.11, in alternating runs against the search that ran the
-# continuation at the dummy on every call (before -> after): ``--vars 20
-# --formula 0`` prints a log of 5,242,876 lines in 5.1-5.3 -> 4.3-4.5 s to
-# /dev/null and 8.1-12.0 -> 7.6-10.8 s to a file, with a peak RSS of 117 MB;
-# the unsatisfiable ``--vars 16 --formula '0&!0'`` prints 327,676 lines to a
-# file in 2.1-3.6 -> 1.6-2.7 s with a peak RSS of 61 MB.  Either peak is set
+# ``sat_oracle``.  The search's trace log has 5 * 2**n - 4 lines on every
+# formula (Tier-1 pins the count), so time and memory double per variable:
+# ``--vars 20`` prints a log of 5,242,876 lines.  The peak memory is set
 # inside the search, by the last trace bind holding both halves of the log
 # and their concatenation.
 MAX_DEMO_SAT_VARS = 20

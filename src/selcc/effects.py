@@ -87,8 +87,10 @@ class NondetValue(Generic[A]):
 
 # Every trace and nondet bind, map and unit builds one of these values, so
 # each stores its fields straight through their slots, skipping the generated
-# __init__'s ``object.__setattr__`` per field; ``-> None`` is reset to the
-# generated one's ``None`` (not the string) so the signatures stay the same.
+# __init__'s ``object.__setattr__`` per field; the trace bind and map and the
+# nondet unit, the most frequent, skip the call of ``__init__`` too.
+# ``-> None`` is reset to the generated one's ``None`` (not the string) so the
+# signatures stay the same.
 _set_log, _set_value = TraceValue.log.__set__, TraceValue.value.__set__
 _set_alternatives = NondetValue.alternatives.__set__
 TraceValue.__init__.__annotations__["return"] = None
@@ -115,11 +117,17 @@ def _trace_unit(a: Any) -> TraceValue[Any]:
 
 def _trace_bind(m: TraceValue[Any], f: Callable[[Any], TraceValue[Any]]) -> TraceValue[Any]:
     out = f(m.value)
-    return TraceValue(m.log + out.log, out.value)
+    value = object.__new__(TraceValue)
+    _set_log(value, m.log + out.log)
+    _set_value(value, out.value)
+    return value
 
 
 def _trace_map(m: TraceValue[Any], g: Callable[[Any], Any]) -> TraceValue[Any]:
-    return TraceValue(m.log, g(m.value))
+    value = object.__new__(TraceValue)
+    _set_log(value, m.log)
+    _set_value(value, g(m.value))
+    return value
 
 
 _TRACE = EffectInstance(name="Trace", unit=_trace_unit, bind=_trace_bind, map=_trace_map)

@@ -23,15 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .callcc import callcc_selection
-from .core import (
-    SelectionComputation,
-    run_selection,
-    sel_bind,
-    sel_lift,
-    sel_map,
-    sel_sequence,
-)
-from .effects import EffectInstance, TraceValue, identity_effect, tell, trace_effect
+from .core import SelectionComputation, run_selection, sel_bind, sel_lift, sel_sequence
+from .effects import EffectInstance, TraceValue, identity_effect, trace_effect
 
 Assignment = tuple[bool, ...]
 
@@ -46,7 +39,7 @@ class BooleanFormula:
 
 def format_assignment(bits: Sequence[bool]) -> str:
     """Render an assignment as ``[True,False,True]`` (no spaces)."""
-    return "[" + ",".join(map(str, map(bool, bits))) + "]"
+    return "[" + ",".join(["True" if b else "False" for b in bits]) + "]"
 
 
 def bool_probe(eff: EffectInstance | None = None) -> SelectionComputation[bool, bool]:
@@ -92,6 +85,14 @@ def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:
     it on its first run only (see :func:`selcc.callcc._callcc_term`), so an
     unsatisfiable formula costs ``2^n`` evaluations, not ``3 * (2^n - 1)``.
     The log is unchanged: each run still logs its dummy line.
+
+    Neither half of the step after a probe reads its continuation: the
+    ``b = <value>, `` line is a lifted log, and the reified call at the
+    dummy ignores its own.  So by the lift law, ``lift(m >>= f) = lift m >>=
+    lift . f``, that step is the lift of one trace value, the probe line and
+    then the dummy call's log, answering the probed value.  The search runs
+    the reified call once and builds that value once per probed value,
+    instead of binding the line into a map of the call on every run.
     """
     outcome = _sat_callcc_outcome(formula)
     return list(outcome.log), outcome.value
@@ -105,26 +106,28 @@ def _sat_callcc_outcome(formula: BooleanFormula) -> TraceValue[Assignment]:
     eff = trace_effect()
     dummy: Assignment = (False,) * formula.arity
 
-    def log(line: str) -> SelectionComputation:
-        return sel_lift(tell(line), eff)
-
     def logged(bits: Assignment) -> SelectionComputation:
-        # ``sel_map(log(line), lambda _: bits)`` in one step: a lifted log
-        # never calls its continuation, so it is the lift of its value.
+        # ``sel_map(sel_lift(tell(line), eff), lambda _: bits)`` in one step:
+        # a lifted log never calls its continuation, so it is the lift of its
+        # value.
         line = f"Continuation called with {format_assignment(bits)}"
         return sel_lift(TraceValue((line,), bits), eff)
 
     # Everything below that depends on neither the probed value nor the
     # assignment is built once per search: the dummy's answer here, and in
-    # ``step`` the call of the continuation on the dummy, the after-probe
+    # ``step`` the run of the reified call at the dummy, the after-probe
     # computations of the bool singletons and the per-variable stage.
     dummy_answer = logged(dummy)
 
     def step(kk: Callable[[Assignment], SelectionComputation]) -> SelectionComputation:
-        resume = kk(dummy)
+        # The reified call reads no continuation, so one run on any gives its
+        # trace value.
+        resumed = run_selection(kk(dummy), eff.unit)
 
         def after(b: object) -> SelectionComputation:
-            return sel_bind(log(f"b = {b}, "), lambda _: sel_map(resume, lambda _: b))
+            # ``sel_bind(sel_lift(tell(line), eff), lambda _: sel_map(kk(dummy),
+            # lambda _: b))`` as one lifted value (see :func:`sat_callcc`).
+            return sel_lift(TraceValue((f"b = {b}, ",) + resumed.log, b), eff)
 
         # Shared only for True and False themselves (by ``is``), so a formula
         # that answers 0 or 1 still logs ``b = 0, `` or ``b = 1, ``.

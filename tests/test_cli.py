@@ -676,6 +676,34 @@ class TestDemoCommands:
             satisfiable += any(bits)
         assert 50 < satisfiable < 250, satisfiable
 
+    # The test above compares ``demo-sat`` with ``sat_callcc``, which change
+    # together; these digests were taken from the search that bound each
+    # probe line into a map of the dummy call, and pin the bytes alone.
+    @pytest.mark.parametrize(
+        "formula, answer, digest",
+        [
+            (
+                "(0|!1)&!2&(3|4)&!(5&6)&(!7|8)&!11&(9|!10)",
+                "[True,True,False,True,True,True,False,True,True,True,True,False]",
+                "ac189b65c24d363c50671882a4e1914b338e2b7c7ea355f3fc630b8f14a9449f",
+            ),
+            (
+                "(0|1)&(!0|1)&(0|!1)&(!0|!1|11)&!11",
+                "[" + ",".join(["False"] * 12) + "]",
+                "0c59e2eb9ee6601b465c88d59e55697f35e5136cb6b96694ef6e37c97641d87f",
+            ),
+        ],
+        ids=["satisfiable", "unsatisfiable"],
+    )
+    def test_sat_demo_transcript_is_pinned(self, capsys, formula, answer, digest):
+        assert main(["demo-sat", "--vars", "12", "--formula", formula]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        # The log's 5 * 2^n - 4 lines, then the answer.
+        assert len(lines) == 5 * 2**12 - 3
+        assert lines[-1] == answer
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_sat_demo_help_documents_the_dummy_assignment(self, capsys):
         assert main(["demo-sat", "--help"]) == 0
         assert "all-False" in capsys.readouterr().out

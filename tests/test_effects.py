@@ -484,6 +484,28 @@ class TestNondetUnit:
                 unit.alternatives = ()
 
 
+class TestTraceBindAndMap:
+    """The trace bind and map build their values without calling ``__init__``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_they_build_the_constructed_value(self, seed):
+        fields = _seeded_fields(TraceValue, seed, 60)
+        for (log, value), (out_log, out_value) in zip(fields, fields[1:] + fields[:1]):
+            m = TraceValue(log, value)
+            bound = effects._trace_bind(m, lambda _: TraceValue(out_log, out_value))
+            mapped = effects._trace_map(m, lambda _: out_value)
+            for got, built in (
+                (bound, TraceValue(log + out_log, out_value)),
+                (mapped, TraceValue(log, out_value)),
+            ):
+                assert type(got) is TraceValue
+                assert got == built and got.value is out_value
+                assert _outcome(hash, got) == _outcome(hash, built)
+                assert repr(got) == repr(built)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    got.log = ()
+
+
 class TestValueTypesBehaveLikePlainDataclasses:
     """``TraceValue`` and ``NondetValue`` store their fields through their
     slots; nothing else about them may differ from a plain frozen slots

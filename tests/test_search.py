@@ -1,6 +1,7 @@
 """Tests for the probe selection and the three SAT entry points."""
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from selcc import (
     BooleanFormula,
+    EffectInstance,
+    SelectionComputation,
     TraceValue,
     bool_probe,
     format_assignment,
@@ -27,6 +30,7 @@ from selcc import (
     trace_effect,
 )
 from selcc import search
+from selcc.cli import parse_formula
 from selcc.core import SELECTION
 
 from helpers import source_mutant, unshared_callcc_term
@@ -109,6 +113,12 @@ class TestFormatAssignment:
         assert format_assignment((True, False, True)) == "[True,False,True]"
         assert format_assignment(()) == "[]"
         assert format_assignment((False,)) == "[False]"
+
+    def test_renders_any_value_by_its_truth(self):
+        values = (True, False, 0, 1, 2, "", None)
+        for arity in range(3):
+            for bits in itertools.product(values, repeat=arity):
+                assert format_assignment(bits) == "[" + ",".join(map(str, map(bool, bits))) + "]"
 
 
 class TestSatProduct:
@@ -358,6 +368,15 @@ class TestSatCallccAgainstTheReference:
         with pytest.raises(AssertionError):
             _assert_sat_callcc_matches_the_reference()
 
+    def test_logging_the_dummy_call_before_the_probe_line_is_caught(self, monkeypatch):
+        swapped = source_mutant(
+            search._sat_callcc_outcome,
+            ('(f"b = {b}, ",) + resumed.log', 'resumed.log + (f"b = {b}, ",)'),
+        )
+        monkeypatch.setattr(search, "_sat_callcc_outcome", swapped)
+        with pytest.raises(AssertionError):
+            _assert_sat_callcc_matches_the_reference()
+
 
 def _evaluated(plain: BooleanFormula) -> tuple[BooleanFormula, list]:
     """The same formula, recording the assignment of each evaluation."""
@@ -439,3 +458,90 @@ class TestSatCallccEvaluationCounts:
             assert run_quantifier(to_quantifier(lifted), k) == run_quantifier(
                 to_quantifier(mapped), k
             )
+
+
+class TestTheLiftedProbeStep:
+    """``sat_callcc``'s step after a probe, the line and then the reified call
+    at the dummy, which reads no continuation, is one lifted trace value."""
+
+    def test_it_answers_as_the_probe_line_bound_into_the_mapped_call(self):
+        rng = random.Random(27)
+        eff = trace_effect()
+        lines = ("k", _call_line("[False]"), "")
+        for _ in range(300):
+            resumed = TraceValue(
+                tuple(rng.choices(lines, k=rng.randint(0, 3))), rng.choice(_ANSWERS["mixed"])
+            )
+            resume = sel_lift(resumed, eff)
+            b = rng.choice((True, False, 0, 1, 2, None))
+            line = _probe_line(b)
+            lifted = sel_lift(TraceValue((line,) + resumed.log, b), eff)
+            bound = sel_bind(sel_lift(tell(line), eff), lambda _, b=b: sel_map(resume, lambda _: b))
+            weight = rng.randrange(3)
+            calls = []
+
+            def k(x):
+                calls.append(x)
+                return TraceValue(("k",) * weight, weight)
+
+            got = run_selection(lifted, k)
+            assert got == run_selection(bound, k)
+            assert got.value is b
+            assert calls == []
+            assert run_quantifier(to_quantifier(lifted), k) == run_quantifier(
+                to_quantifier(bound), k
+            )
+            # As a per-variable stage, each calls the continuation alike.
+            stages = [sel_bind(bool_probe(eff), lambda _, s=step: s) for step in (lifted, bound)]
+            runs = []
+            for stage in stages:
+                calls.clear()
+                runs.append((run_selection(stage, k), list(calls)))
+            assert runs[0] == runs[1]
+
+
+def _counted_search(monkeypatch) -> collections.Counter:
+    """Make ``sat_callcc`` count its trace binds and maps, through an effect
+    with the trace effect's unit, bind and map, and its probes' chooser runs."""
+    counts: collections.Counter = collections.Counter()
+    base = trace_effect()
+
+    def bind(m, f):
+        counts["binds"] += 1
+        return base.bind(m, f)
+
+    def map_(m, g):
+        counts["maps"] += 1
+        return base.map(m, g)
+
+    counting = EffectInstance(base.name, base.unit, bind, map_)
+
+    def probe(eff=None):
+        chooser = bool_probe(eff).chooser
+
+        def counted(k):
+            counts["probe runs"] += 1
+            return chooser(k)
+
+        return SelectionComputation(counted, eff)
+
+    monkeypatch.setattr(search, "trace_effect", lambda: counting)
+    monkeypatch.setattr(search, "bool_probe", probe)
+    return counts
+
+
+class TestSatCallccWorkCounts:
+    """Exact counts of the search's work on an unsatisfiable formula, which
+    do not depend on the machine.  With the step after a probe as one lifted
+    trace value, ``0&!0`` at n variables makes 4 * 2^n - 3 trace binds,
+    2^(n-1) maps and 2^n - 1 probe runs; binding the probe line into a map
+    of the dummy call on every run made 6 * 2^n - 5 binds and 5 * 2^(n-1) - 2
+    maps (1,531 and 638 at 8 variables), with the same probe runs."""
+
+    def test_an_unsatisfiable_formula_at_eight_variables(self, monkeypatch):
+        formula = parse_formula("0&!0", 8)
+        plain = sat_callcc(formula)
+        counts = _counted_search(monkeypatch)
+        assert sat_callcc(formula) == plain
+        assert counts == {"binds": 1021, "maps": 128, "probe runs": 255}
+        assert len(plain[0]) == 5 * 2**8 - 4
