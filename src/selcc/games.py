@@ -146,6 +146,10 @@ def nondet_argmax_selection(
     continuation result is empty are not scoreable and are excluded.
     Discarding ties here would silently drop equilibria downstream, hence
     every maximiser is kept, in domain order.
+
+    A result of one alternative is scored by one projection rather than a
+    ``max`` over a ``map``.  It is the common case: every result that
+    :func:`simultaneous_equilibria` passes here holds one payoff.
     """
     elements = _distinct(domain, "nondet_argmax_selection domain")
     if not elements:
@@ -159,7 +163,10 @@ def nondet_argmax_selection(
         for x in elements:
             alternatives = k(x).alternatives
             if alternatives:
-                score = max(map(project, alternatives))
+                if len(alternatives) == 1:
+                    score = project(alternatives[0])
+                else:
+                    score = max(map(project, alternatives))
                 if not maximisers or score > best:
                     best = score
                     maximisers = [x]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -294,12 +295,13 @@ class TestArgmaxAgainstReference:
         assert mismatches > 0
 
 
-def _two_pass_mismatches(argmax) -> tuple[int, int, int, int]:
+def _two_pass_mismatches(argmax, key=None) -> tuple[int, int, int, int]:
     """(cases, tied cases, empty answers, mismatches) of ``argmax`` against the two-pass
     rule of :func:`_reference_nondet_argmax`, answers and continuation calls
-    both, over seeded integer tables on one to ten moves where each move's
-    result is empty one time in four and otherwise holds one or two scores
-    out of three, so most tables tie and some leave nothing to score."""
+    both, under ``key``, over seeded integer tables on one to ten moves where
+    each move's result is empty one time in four and otherwise holds one or
+    two scores out of three, so most tables tie and some leave nothing to
+    score, and both scoring branches (one alternative, several) run."""
     rng = random.Random(26)
     cases = tied = empty = mismatches = 0
     for m in range(1, 11):
@@ -309,11 +311,11 @@ def _two_pass_mismatches(argmax) -> tuple[int, int, int, int]:
                 x: NondetValue(() if rng.random() < 0.25 else tuple(rng.sample(range(3), rng.randint(1, 2))))
                 for x in moves
             }
-            expected = _observe_chooser(_reference_nondet_argmax(moves), table)
+            expected = _observe_chooser(_reference_nondet_argmax(moves, key), table)
             cases += 1
             tied += len(expected[0].alternatives) > 1
             empty += not expected[0].alternatives
-            mismatches += _observe_chooser(argmax(moves), table) != expected
+            mismatches += _observe_chooser(argmax(moves, key), table) != expected
     return cases, tied, empty, mismatches
 
 
@@ -328,6 +330,22 @@ class TestNondetArgmaxOnePass:
     def test_the_check_catches_restarting_on_a_tie(self):
         keeps_the_last = source_mutant(nondet_argmax_selection, ("score > best", "score >= best"))
         cases, _, _, mismatches = _two_pass_mismatches(keeps_the_last)
+        assert cases == 300
+        assert mismatches > 0
+
+    def test_both_scoring_branches_project_through_the_key(self):
+        assert _two_pass_mismatches(nondet_argmax_selection, operator.neg) == (300, 186, 14, 0)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("score = project(alternatives[0])", "score = alternatives[0]"),
+            ("score = max(map(project, alternatives))", "score = project(alternatives[0])"),
+        ],
+        ids=["one-alternative-unprojected", "many-alternatives-first-only"],
+    )
+    def test_the_keyed_check_catches_a_broken_scoring_branch(self, edit):
+        cases, _, _, mismatches = _two_pass_mismatches(source_mutant(nondet_argmax_selection, edit), operator.neg)
         assert cases == 300
         assert mismatches > 0
 
