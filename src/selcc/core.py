@@ -37,7 +37,11 @@ into ``k`` after the prefix, so it equals the fold in every answer, log and
 continuation call, without a map and its bind per stage.  Its last stage
 scores a candidate by calling ``k`` directly, by the left-unit law, with
 :func:`sel_map`'s nondet caveat, and maps its choice into the tuple with the
-effect's ``map`` rather than building a unit per alternative.
+effect's ``map`` rather than building a unit per alternative.  Over the
+instance ``identity_effect()`` returns, and only over it, the product's
+runners apply where they would bind or map: identity's bind and its map are
+both application, so the continuation calls and chooser runs are the same
+with no effect call per stage, and the depth stays three frames per stage.
 
 :class:`Monad` bundles each monad's functions into one value, so code written
 once over it (the call/cc dialogue, the law drivers) serves both monads.
@@ -297,6 +301,19 @@ def sel_sequence(
     with it): answers, logs, continuation calls and chooser runs are the
     same, without a map and its bind per stage.
 
+    When the shared effect is ``identity_effect()`` itself (``is``, not
+    ``==``), the runners apply instead: a stage answers
+    ``after(prefix + (chooser(lambda x: k(after(prefix + (x,)))),))`` under
+    ``rerun=True``, or scores a candidate as ``k(inner)`` and looks its
+    choice up in the memo, and the last stage answers ``prefix +
+    (last(lambda x: k(prefix + (x,))),)``.  Identity's bind is application
+    and its map is too, so each is the generic runner with the bind or map
+    applied: the same answers, continuation calls and chooser runs.  The
+    depth at the continuation stays three frames per stage (the runner, the
+    chooser and the scoring continuation).  Any other effect, an
+    ``EffectInstance`` whose bind is application included, keeps the
+    generic runners.
+
     The empty sequence yields the unit at the empty tuple; ``eff`` is only
     consulted in that case.  Otherwise every stage binds, and the last maps,
     with the first computation's effect, so the computations must share it:
@@ -312,52 +329,94 @@ def sel_sequence(
                 f"computation {index} has effect {comp.effect.name!r}, "
                 f"but computation 0 has {effect.name!r}: sel_sequence needs one shared effect"
             )
-    bind_m = effect.bind
-    map_m = effect.map
     choosers = [comp.chooser for comp in comps]
     last = choosers.pop()
 
-    def stage(
-        chooser: Callable[[Continuation], Any],
-        after: Callable[[tuple[Any, ...]], Any],
-        k: Continuation,
-    ) -> Callable[[tuple[Any, ...]], Any]:
-        if rerun:
+    if effect is identity_effect():
+        # Identity bind and map are application, so each runner applies
+        # where the generic one binds: the same calls, without the bind.
+
+        def stage(
+            chooser: Callable[[Continuation], Any],
+            after: Callable[[tuple[Any, ...]], Any],
+            k: Continuation,
+        ) -> Callable[[tuple[Any, ...]], Any]:
+            if rerun:
+
+                def run(prefix: tuple[Any, ...]) -> Any:
+                    return after(prefix + (chooser(lambda x: k(after(prefix + (x,)))),))
+
+                return run
 
             def run(prefix: tuple[Any, ...]) -> Any:
+                runs: dict[int, tuple[Any, Any]] = {}
+
                 def extended(x: Any) -> Any:
-                    return bind_m(after(prefix + (x,)), k)
+                    inner = after(prefix + (x,))
+                    runs[id(x)] = (x, inner)
+                    return k(inner)
+
+                x = chooser(extended)
+                entry = runs.get(id(x))
+                return entry[1] if entry is not None else after(prefix + (x,))
+
+            return run
+
+        def last_stage(k: Continuation) -> Callable[[tuple[Any, ...]], Any]:
+            def run(prefix: tuple[Any, ...]) -> Any:
+                return prefix + (last(lambda x: k(prefix + (x,))),)
+
+            return run
+
+    else:
+        bind_m = effect.bind
+        map_m = effect.map
+
+        def stage(
+            chooser: Callable[[Continuation], Any],
+            after: Callable[[tuple[Any, ...]], Any],
+            k: Continuation,
+        ) -> Callable[[tuple[Any, ...]], Any]:
+            if rerun:
+
+                def run(prefix: tuple[Any, ...]) -> Any:
+                    def extended(x: Any) -> Any:
+                        return bind_m(after(prefix + (x,)), k)
+
+                    def chosen(x: Any) -> Any:
+                        return after(prefix + (x,))
+
+                    return bind_m(chooser(extended), chosen)
+
+                return run
+
+            def run(prefix: tuple[Any, ...]) -> Any:
+                runs: dict[int, tuple[Any, Any]] = {}
+
+                def extended(x: Any) -> Any:
+                    inner = after(prefix + (x,))
+                    runs[id(x)] = (x, inner)
+                    return bind_m(inner, k)
 
                 def chosen(x: Any) -> Any:
-                    return after(prefix + (x,))
+                    entry = runs.get(id(x))
+                    return entry[1] if entry is not None else after(prefix + (x,))
 
                 return bind_m(chooser(extended), chosen)
 
             return run
 
-        def run(prefix: tuple[Any, ...]) -> Any:
-            runs: dict[int, tuple[Any, Any]] = {}
+        def last_stage(k: Continuation) -> Callable[[tuple[Any, ...]], Any]:
+            def run(prefix: tuple[Any, ...]) -> Any:
+                def extended(x: Any) -> Any:
+                    return k(prefix + (x,))
 
-            def extended(x: Any) -> Any:
-                inner = after(prefix + (x,))
-                runs[id(x)] = (x, inner)
-                return bind_m(inner, k)
+                return map_m(last(extended), lambda x: prefix + (x,))
 
-            def chosen(x: Any) -> Any:
-                entry = runs.get(id(x))
-                return entry[1] if entry is not None else after(prefix + (x,))
-
-            return bind_m(chooser(extended), chosen)
-
-        return run
+            return run
 
     def top(k: Continuation) -> Any:
-        def run(prefix: tuple[Any, ...]) -> Any:
-            def extended(x: Any) -> Any:
-                return k(prefix + (x,))
-
-            return map_m(last(extended), lambda x: prefix + (x,))
-
+        run = last_stage(k)
         for chooser in reversed(choosers):
             run = stage(chooser, run, k)
         return run(())

@@ -31,6 +31,24 @@ def source_mutant(function, *edits: tuple[str, str]):
     return namespace[function.__name__]
 
 
+def rerun_served_from_scoring(sel_sequence):
+    """``sel_sequence`` whose identity rerun runner answers with the run of
+    its choice made while scoring, as the memo does, instead of running the
+    chosen branch again: answers stay right, continuation calls drop."""
+    return source_mutant(
+        sel_sequence,
+        (
+            "                    return after(prefix + (chooser(lambda x: k(after(prefix + (x,)))),))",
+            "                    scored = {}\n\n"
+            "                    def extended(x):\n"
+            "                        scored[x] = after(prefix + (x,))\n"
+            "                        return k(scored[x])\n\n"
+            "                    x = chooser(extended)\n"
+            "                    return scored[x] if x in scored else after(prefix + (x,))",
+        ),
+    )
+
+
 def unshared_callcc_term(monad, handler, eff):
     """The paper's term as written, ``λk1. handler(λx. λk2. k1(x))(k1)``:
     every run of a reified computation runs ``k1(x)`` again."""

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from selcc import (
+    BooleanFormula,
     EffectInstance,
     NondetValue,
     QuantifierComputation,
@@ -23,6 +25,7 @@ from selcc import (
     quant_unit,
     run_quantifier,
     run_selection,
+    sat_product,
     sel_bind,
     sel_lift,
     sel_product,
@@ -31,9 +34,10 @@ from selcc import (
     to_quantifier,
     trace_effect,
 )
+from selcc.games import SequentialGameSpec, Stage, backward_induction
 from selcc.search import bool_probe
 
-from helpers import source_mutant
+from helpers import rerun_served_from_scoring, source_mutant
 
 _ID = identity_effect()
 
@@ -385,14 +389,16 @@ def _nested_run_mismatches(sequence, effect: str, rerun: bool) -> tuple[int, int
 
 def _one_continuation_per_product(sequence):
     """A broken product: its runners read one continuation cell that every
-    run overwrites, so a nested run leaves its own ``k`` behind."""
+    run overwrites, so a nested run leaves its own ``k`` behind.  The last
+    stage's edit hits both its identity and its generic form, and the inner
+    stages get the cell through ``stage``, whichever runners it builds."""
     return source_mutant(
         sequence,
         (
             "    def top(k: Continuation) -> Any:\n",
             "    current = [None]\n\n    def top(k: Continuation) -> Any:\n        current[0] = k\n",
         ),
-        ("                return k(prefix + (x,))", "                return current[0](prefix + (x,))"),
+        ("k(prefix + (x,))", "current[0](prefix + (x,))"),
         (
             "            run = stage(chooser, run, k)",
             "            run = stage(chooser, run, lambda xs: current[0](xs))",
@@ -417,6 +423,108 @@ class TestSelSequenceRunnersPerRun:
     def test_the_check_catches_one_continuation_per_product(self, effect, rerun):
         broken = _one_continuation_per_product(sel_sequence)
         assert _nested_run_mismatches(broken, effect, rerun)[1] > 0
+
+
+# The identity effect's twin: the same unit and an application bind, but not
+# the instance ``identity_effect()`` returns, so ``sel_sequence`` runs it on
+# the generic runners.
+_TWIN = EffectInstance("Identity", lambda a: a, lambda m, f: f(m))
+
+
+def _observed_run(sequence, choosers, effect, k, rerun):
+    """The answer of ``sequence`` over ``choosers`` under ``k``, every
+    argument ``k`` was called with, and the stage index of every chooser
+    run, each in call order."""
+    k_calls, chooser_runs = [], []
+
+    def counted(index, chooser):
+        def run(kk):
+            chooser_runs.append(index)
+            return chooser(kk)
+
+        return SelectionComputation(run, effect)
+
+    def logged_k(xs):
+        k_calls.append(xs)
+        return k(xs)
+
+    product = sequence([counted(i, c) for i, c in enumerate(choosers)], rerun=rerun)
+    return run_selection(product, logged_k), k_calls, chooser_runs
+
+
+def _identity_runner_mismatches(sequence, rerun: bool) -> tuple[int, int]:
+    """Run seeded games (1-6 stages, 1-3 moves, payoffs 0-2 so that ties
+    abound, one or two players) and probe products on seeded truth tables
+    (1-8 variables) with ``sequence`` over ``identity_effect()`` and with
+    :func:`sel_sequence` over its twin.  Returns the number of cases and of
+    those whose answer, continuation calls or chooser runs differ."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(120):
+        stages, moves, players = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 2)
+        plays = itertools.product(range(moves), repeat=stages)
+        payoff = {xs: tuple(rng.randint(0, 2) for _ in range(players)) for xs in plays}
+        owners = [rng.randrange(players) for _ in range(stages)]
+        cases.append((
+            lambda eff, owners=owners, moves=moves: [
+                argmax_selection(range(moves), eff, key=lambda v, p=p: v[p]).chooser
+                for p in owners
+            ],
+            payoff.__getitem__,
+        ))
+    for _ in range(120):
+        arity, density = rng.randint(1, 8), rng.choice((0.0, 0.05, 0.3, 0.7, 1.0))
+        table = {bits: rng.random() < density for bits in itertools.product((False, True), repeat=arity)}
+        cases.append((lambda eff, arity=arity: [bool_probe(eff).chooser] * arity, table.__getitem__))
+    mismatches = sum(
+        _observed_run(sequence, choosers(_ID), _ID, k, rerun)
+        != _observed_run(sel_sequence, choosers(_TWIN), _TWIN, k, rerun)
+        for choosers, k in cases
+    )
+    return len(cases), mismatches
+
+
+def _effect_bind_calls(solve, effect) -> int:
+    """How many times ``solve()`` calls ``effect``'s bind or map."""
+    codes = {effect.bind.__code__, effect.map.__code__}
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        solve()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+class TestIdentityRunners:
+    """Over ``identity_effect()`` itself, ``sel_sequence`` applies where it
+    would bind; any other effect, an identity-like twin included, binds."""
+
+    @pytest.mark.parametrize("rerun", [False, True], ids=["memo", "rerun"])
+    def test_they_run_as_the_generic_runners_over_a_twin(self, rerun):
+        cases, mismatches = _identity_runner_mismatches(sel_sequence, rerun)
+        assert (cases, mismatches) == (240, 0)
+
+    def test_the_check_catches_a_rerun_served_from_scoring(self):
+        served = rerun_served_from_scoring(sel_sequence)
+        assert _identity_runner_mismatches(served, rerun=False)[1] == 0
+        assert _identity_runner_mismatches(served, rerun=True)[1] > 0
+
+    def test_the_identity_products_bind_and_map_nothing(self):
+        game = SequentialGameSpec(
+            ("P", "Q"), (Stage(0, ("a", "b")), Stage(1, ("c", "d")), Stage(0, ("e", "f"))),
+            lambda play: (len(set(play)), ord(play[-1])),
+        )
+        assert _effect_bind_calls(lambda: sat_product(BooleanFormula(6, all)), _ID) == 0
+        assert _effect_bind_calls(lambda: backward_induction(game), _ID) == 0
+        probes = [SelectionComputation(bool_probe().chooser, _TWIN)] * 6
+        twin_sat = lambda: run_selection(sel_sequence(probes, rerun=True), all)
+        assert _effect_bind_calls(twin_sat, _TWIN) > 0
 
 
 class TestRunners:

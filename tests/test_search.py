@@ -29,11 +29,11 @@ from selcc import (
     to_quantifier,
     trace_effect,
 )
-from selcc import search
+from selcc import core, search
 from selcc.cli import parse_formula
 from selcc.core import SELECTION
 
-from helpers import source_mutant, unshared_callcc_term
+from helpers import rerun_served_from_scoring, source_mutant, unshared_callcc_term
 
 _TARGET = BooleanFormula(3, lambda b: b[0] and not b[1] and b[2])
 
@@ -258,6 +258,16 @@ class TestSatProductEvaluationCounts:
         probes = [bool_probe() for _ in range(20)]
         assert run_selection(sel_sequence(probes), formula.evaluate) == (True,) * 20
         assert calls[0] == 20
+
+    def test_a_rerun_served_from_scoring_is_caught(self, monkeypatch):
+        # Such a product answers right, and costs 2^n - 1 on unsatisfiable
+        # formulas too, but stops early on satisfiable ones.
+        monkeypatch.setattr(search, "sel_sequence", rerun_served_from_scoring(core.sel_sequence))
+        self.test_unsatisfiable_formula_makes_exactly_two_to_the_n_minus_one(5)
+        with pytest.raises(AssertionError):
+            self.test_all_true_formula_costs_the_same_as_an_unsatisfiable_one()
+        with pytest.raises(AssertionError):
+            self.test_random_tables_cost_exactly_the_bound_and_agree_with_the_oracle()
 
 
 def _reference_sat_callcc(formula: BooleanFormula):
