@@ -34,14 +34,25 @@ product :func:`sel_sequence` is the fold of these binary products, run as
 one chooser that passes the chosen prefix down to the next stage; by the
 effect laws, binding a prefix-mapped value into ``k`` is binding the value
 into ``k`` after the prefix, so it equals the fold in every answer, log and
-continuation call, without a map and its bind per stage.  Its last stage
+chooser run, without a map and its bind per stage.  Its last stage
 scores a candidate by calling ``k`` directly, by the left-unit law, with
 :func:`sel_map`'s nondet caveat, and maps its choice into the tuple with the
-effect's ``map`` rather than building a unit per alternative.  Over the
-instance ``identity_effect()`` returns, and only over it, the product's
-runners apply where they would bind or map: identity's bind and its map are
-both application, so the continuation calls and chooser runs are the same
-with no effect call per stage, and the depth stays three frames per stage.
+effect's ``map`` rather than building a unit per alternative.  Except
+over identity (below), its memo runners are *scored*: a runner whose
+caller uses it also answers its result's score, ``bind(result, k)``, and
+where every choice was scored it
+builds that score from the scores made while choosing, by associativity,
+instead of scoring the result's leaves again.  Where a choice was not
+scored it binds the result into ``k``, and where the caller does not use
+the score it computes none.  So the continuation calls are the fold's with
+its re-scores left out, one per leaf over players that score every
+candidate; ``rerun=True`` keeps the fold's calls.  Over the instance
+``identity_effect()`` returns, and only over it, the product's runners
+apply where they would bind or map: identity's bind and its map are both
+application, so the continuation calls and chooser runs are the fold's,
+re-scores included, with no effect call per stage, and the depth stays
+three frames per stage.  They do not reuse scores, because over identity a
+call of ``k`` costs less than the memo entry that would replace it.
 
 :class:`Monad` bundles each monad's functions into one value, so code written
 once over it (the call/cc dialogue, the law drivers) serves both monads.
@@ -286,30 +297,50 @@ def sel_sequence(
     inner: they see earlier choices through the continuation.  Each run of
     its chooser builds one runner per stage over that run's ``k``,
     innermost first.  Stage ``i``'s runner gives the whole tuples that
-    start with its argument ``prefix``: it scores a candidate ``x`` by
-    binding the next runner at ``prefix + (x,)`` into ``k`` and answers
-    with the run of its choice, from a memo as in :func:`sel_bind` or,
-    under ``rerun=True``, run again.  The prefix is an argument because a
+    start with its argument ``prefix``; the prefix is an argument because a
     reified continuation may score out of nesting order.  The last runner
     maps its choice to ``prefix + (x,)`` with the effect's ``map``, which is
     binding it into the unit at ``prefix + (x,)``, and scores a candidate
     as ``k(prefix + (x,))``: by the left-unit law that is binding that unit
     into ``k``, for nondet on duplicate-free results of ``k``, as in
-    :func:`sel_map`.  This equals the
-    fold because ``bind(map(m, prefix +), k) == bind(m, lambda xs: k(prefix
-    + xs))`` (for nondet because ``prefix +`` is injective, so dedup commutes
-    with it): answers, logs, continuation calls and chooser runs are the
-    same, without a map and its bind per stage.
+    :func:`sel_map`.  This equals the fold, without a map and its bind per
+    stage, because ``bind(map(m, prefix +), k) == bind(m, lambda xs:
+    k(prefix + xs))`` (for nondet because ``prefix +`` is injective, so
+    dedup commutes with it).
+
+    Under ``rerun=True`` an inner runner scores a candidate ``x`` by binding
+    the next runner's result at ``prefix + (x,)`` into ``k`` and runs its
+    choice again: answers, logs, continuation calls and chooser runs are
+    the fold's.
+
+    Otherwise the runners are *scored*: ``run(prefix)`` answers the result
+    and ``run(prefix, True)`` answers ``(result, score)``, where ``score``
+    is ``bind(result, k)``.  An inner runner scores ``x`` by the next
+    runner's score at ``prefix + (x,)`` and answers with the result of its
+    choice from a memo, as in :func:`sel_bind`.  Where every chosen ``x``
+    was scored, its score is the bind of its chooser's answer into those
+    scores, which is ``bind(result, k)`` by associativity; where one was not
+    (a probe that answers False without trying it), its score is
+    ``bind(result, k)``.  The last runner records each ``k(prefix + (x,))``
+    it makes, and its score binds its chooser's answer into those records,
+    calling ``k`` only for a choice it never scored.  A runner computes a
+    score only when its caller uses it: the top-level run and the run of a
+    chosen but unscored candidate ask for none, so no ``k`` call is added.
+    Answers, logs and chooser runs are the fold's, and the continuation
+    calls are the fold's with its re-scores left out: over players that
+    score every candidate, ``k`` runs once per leaf.
 
     When the shared effect is ``identity_effect()`` itself (``is``, not
     ``==``), the runners apply instead: a stage answers
     ``after(prefix + (chooser(lambda x: k(after(prefix + (x,)))),))`` under
     ``rerun=True``, or scores a candidate as ``k(inner)`` and looks its
     choice up in the memo, and the last stage answers ``prefix +
-    (last(lambda x: k(prefix + (x,))),)``.  Identity's bind is application
-    and its map is too, so each is the generic runner with the bind or map
-    applied: the same answers, continuation calls and chooser runs.  The
-    depth at the continuation stays three frames per stage (the runner, the
+    (last(lambda x: k(prefix + (x,))),)``.  Identity's bind and map are
+    application, so each is the fold's runner with the bind or map
+    applied: the same answers, continuation calls and chooser runs.  These
+    runners re-score as the fold does, because over identity a call of
+    ``k`` costs less than the memo entry that would replace it.  The depth
+    at the continuation stays three frames per stage (the runner, the
     chooser and the scoring continuation).  Any other effect, an
     ``EffectInstance`` whose bind is application included, keeps the
     generic runners.
@@ -374,9 +405,9 @@ def sel_sequence(
 
         def stage(
             chooser: Callable[[Continuation], Any],
-            after: Callable[[tuple[Any, ...]], Any],
+            after: Callable[..., Any],
             k: Continuation,
-        ) -> Callable[[tuple[Any, ...]], Any]:
+        ) -> Callable[..., Any]:
             if rerun:
 
                 def run(prefix: tuple[Any, ...]) -> Any:
@@ -390,28 +421,52 @@ def sel_sequence(
 
                 return run
 
-            def run(prefix: tuple[Any, ...]) -> Any:
-                runs: dict[int, tuple[Any, Any]] = {}
+            # A scored runner: run(prefix) answers the result and
+            # run(prefix, True) answers (result, bind(result, k)).
+            def run(prefix: tuple[Any, ...], scored: bool = False) -> Any:
+                runs: dict[int, tuple[Any, Any, Any]] = {}
+                missed = False
 
                 def extended(x: Any) -> Any:
-                    inner = after(prefix + (x,))
-                    runs[id(x)] = (x, inner)
-                    return bind_m(inner, k)
+                    result, score = after(prefix + (x,), True)
+                    runs[id(x)] = (x, result, score)
+                    return score
 
                 def chosen(x: Any) -> Any:
+                    nonlocal missed
                     entry = runs.get(id(x))
-                    return entry[1] if entry is not None else after(prefix + (x,))
+                    if entry is not None:
+                        return entry[1]
+                    missed = True
+                    return after(prefix + (x,))
 
-                return bind_m(chooser(extended), chosen)
+                choice = chooser(extended)
+                result = bind_m(choice, chosen)
+                if not scored:
+                    return result
+                if missed:
+                    return result, bind_m(result, k)
+                return result, bind_m(choice, lambda x: runs[id(x)][2])
 
             return run
 
-        def last_stage(k: Continuation) -> Callable[[tuple[Any, ...]], Any]:
-            def run(prefix: tuple[Any, ...]) -> Any:
-                def extended(x: Any) -> Any:
-                    return k(prefix + (x,))
+        def last_stage(k: Continuation) -> Callable[..., Any]:
+            def run(prefix: tuple[Any, ...], scored: bool = False) -> Any:
+                if not scored:
+                    return map_m(last(lambda x: k(prefix + (x,))), lambda x: prefix + (x,))
+                scores: dict[int, tuple[Any, Any]] = {}
 
-                return map_m(last(extended), lambda x: prefix + (x,))
+                def extended(x: Any) -> Any:
+                    score = k(prefix + (x,))
+                    scores[id(x)] = (x, score)
+                    return score
+
+                def score_of(x: Any) -> Any:
+                    entry = scores.get(id(x))
+                    return entry[1] if entry is not None else k(prefix + (x,))
+
+                choice = last(extended)
+                return map_m(choice, lambda x: prefix + (x,)), bind_m(choice, score_of)
 
             return run
 

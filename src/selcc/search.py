@@ -140,7 +140,10 @@ def _sat_callcc_outcome(formula: BooleanFormula) -> TraceValue[Assignment]:
                 return after_false
             return after(b)
 
-        stage = sel_bind(bool_probe(eff), after_probe)
+        # ``rerun=True``: the step after a probe is a lift, so running it
+        # again for the chosen value reads no continuation and, for True and
+        # False, builds nothing, where the memo builds a dict per stage run.
+        stage = sel_bind(bool_probe(eff), after_probe, rerun=True)
         return sel_sequence([stage] * formula.arity, eff)
 
     def answer(bits: Assignment) -> SelectionComputation:

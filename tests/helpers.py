@@ -31,6 +31,16 @@ def source_mutant(function, *edits: tuple[str, str]):
     return namespace[function.__name__]
 
 
+def leaves_out_calls(observed, reference) -> bool:
+    """Whether an observed product run, ``(answer, continuation calls,
+    chooser runs)``, has the answer and chooser runs of ``reference`` and
+    its calls with some left out, in order."""
+    (answer, calls, runs), (ref_answer, ref_calls, ref_runs) = observed, reference
+    rest = iter(ref_calls)
+    in_order = all(any(call == other for other in rest) for call in calls)
+    return answer == ref_answer and runs == ref_runs and in_order
+
+
 def rerun_served_from_scoring(sel_sequence):
     """``sel_sequence`` whose identity rerun runner answers with the run of
     its choice made while scoring, as the memo does, instead of running the

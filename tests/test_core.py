@@ -37,7 +37,7 @@ from selcc import (
 from selcc.games import SequentialGameSpec, Stage, backward_induction
 from selcc.search import bool_probe
 
-from helpers import rerun_served_from_scoring, source_mutant
+from helpers import leaves_out_calls, rerun_served_from_scoring, source_mutant
 
 _ID = identity_effect()
 
@@ -300,18 +300,20 @@ class TestSelSequence:
             sel_sequence(computations)
 
     # All-tie games keep every move, so every branch is scored and chosen.
-    # With the memo, (m^n - 1)/(m - 1) stage runs make one bind each, the
-    # candidates scored at inner stages one fewer, and the m^n scored leaves
-    # call k with no bind; rerun=True runs each chosen branch again.  The
-    # continuation calls are those that binding a unit into k made.  Each
-    # last-stage run maps its choice: an effect built without a map (the
-    # "derived" counts) makes that map one bind, and the real nondet map
-    # (the "native" counts) makes it one map and no bind.
+    # With the memo, (m^n - 1)/(m - 1) stage runs make one bind each for
+    # their result, and every run but the top one, asked for its score,
+    # makes one bind more: it binds its choice into the scores made while
+    # choosing, where the fold bound its result into k again.  So k runs
+    # once per leaf, m^n times.  rerun=True runs each chosen branch again,
+    # and its continuation calls are those that binding a unit into k made.
+    # Each last-stage run maps its choice: an effect built without a map
+    # (the "derived" counts) makes that map one bind, and the real nondet
+    # map (the "native" counts) makes it one map and no bind.
     @pytest.mark.parametrize(
         "stages, moves, rerun, derived, native",
         [
-            (4, 4, False, (169, 1024), (105, 64, 1024)),
-            (6, 2, False, (125, 384), (93, 32, 384)),
+            (4, 4, False, (169, 256), (105, 64, 256)),
+            (6, 2, False, (125, 64), (93, 32, 64)),
             (4, 4, True, (877, 3840), (365, 512, 3840)),
             (6, 2, True, (2047, 4032), (1023, 1024, 4032)),
         ],
@@ -348,12 +350,27 @@ class TestSelSequence:
         assert run(EffectInstance(base.name, base.unit, bind, map_)) == native
 
 
-def _nested_run_mismatches(sequence, effect: str, rerun: bool) -> tuple[int, int]:
+def _probe_player(effect: str) -> SelectionComputation:
+    """A player over moves 0-2 that scores move 0 alone and answers its
+    score mod 3, so it may answer a move it never scored."""
+    if effect == "nondet":
+        chooser = lambda k: NondetValue(tuple(dict.fromkeys(v % 3 for v in k(0).alternatives)))
+        return SelectionComputation(chooser, nondet_effect())
+    if effect == "trace":
+        eff = trace_effect()
+        return SelectionComputation(lambda k: eff.unit(k(0).value % 3), eff)
+    return SelectionComputation(lambda k: k(0) % 3, _ID)
+
+
+def _nested_run_mismatches(
+    sequence, effect: str, rerun: bool, probe_middle: bool = False
+) -> tuple[int, int]:
     """Run ``sequence``'s three-stage argmax product over ``effect`` on
     moves 0-2 again from each call of the outer run's continuation, under an
     inner continuation that scores every play the other way round.  Returns
     the number of inner runs, and how many answers (the outer one and each
-    inner one) differ from separate runs of :func:`sel_sequence`."""
+    inner one) differ from separate runs of :func:`sel_sequence`.  With
+    ``probe_middle`` the middle player is :func:`_probe_player`."""
     if effect == "nondet":
         players = [nondet_argmax_selection(range(3)) for _ in range(3)]
         result = lambda xs, score: NondetValue((score,))
@@ -364,6 +381,8 @@ def _nested_run_mismatches(sequence, effect: str, rerun: bool) -> tuple[int, int
     else:
         players = [argmax_selection(range(3)) for _ in range(3)]
         result = lambda xs, score: score
+    if probe_middle:
+        players[1] = _probe_player(effect)
     product = sequence(players, rerun=rerun)
     rng = random.Random(26)
     outer_scores = {xs: rng.randint(0, 4) for xs in itertools.product(range(3), repeat=3)}
@@ -387,22 +406,31 @@ def _nested_run_mismatches(sequence, effect: str, rerun: bool) -> tuple[int, int
     return len(inner_answers), mismatches
 
 
-def _one_continuation_per_product(sequence):
+_ONE_CONTINUATION_EDITS = {
+    "last stage": ("k(prefix + (x,))", "current[0](prefix + (x,))"),
+    "stage": (
+        "            run = stage(chooser, run, k)",
+        "            run = stage(chooser, run, lambda xs: current[0](xs))",
+    ),
+}
+
+
+def _one_continuation_per_product(sequence, parts=tuple(_ONE_CONTINUATION_EDITS)):
     """A broken product: its runners read one continuation cell that every
     run overwrites, so a nested run leaves its own ``k`` behind.  The last
-    stage's edit hits both its identity and its generic form, and the inner
-    stages get the cell through ``stage``, whichever runners it builds."""
+    stage's edit hits its identity form and every generic form: the call
+    of ``k`` that scores a candidate, and the scored runner's call for a
+    choice it never scored.  The inner stages get the cell through
+    ``stage``, whichever runners it builds; a scored runner reads it only
+    to score a result whose choice it never scored.  ``parts`` names the
+    edits made besides the cell itself."""
     return source_mutant(
         sequence,
         (
             "    def top(k: Continuation) -> Any:\n",
             "    current = [None]\n\n    def top(k: Continuation) -> Any:\n        current[0] = k\n",
         ),
-        ("k(prefix + (x,))", "current[0](prefix + (x,))"),
-        (
-            "            run = stage(chooser, run, k)",
-            "            run = stage(chooser, run, lambda xs: current[0](xs))",
-        ),
+        *(_ONE_CONTINUATION_EDITS[part] for part in parts),
     )
 
 
@@ -423,6 +451,16 @@ class TestSelSequenceRunnersPerRun:
     def test_the_check_catches_one_continuation_per_product(self, effect, rerun):
         broken = _one_continuation_per_product(sel_sequence)
         assert _nested_run_mismatches(broken, effect, rerun)[1] > 0
+
+    # Argmax players answer only moves they scored, so there the scored
+    # runners of inner stages never read k: only an unscored choice below
+    # the top makes them score a result by binding it into k.
+    @pytest.mark.parametrize("effect", ["identity", "trace", "nondet"])
+    def test_each_edit_alone_is_caught_past_an_unscored_choice(self, effect):
+        assert _nested_run_mismatches(sel_sequence, effect, False, probe_middle=True)[1] == 0
+        for part in _ONE_CONTINUATION_EDITS:
+            broken = _one_continuation_per_product(sel_sequence, (part,))
+            assert _nested_run_mismatches(broken, effect, False, probe_middle=True)[1] > 0, part
 
 
 # The identity effect's twin: the same unit and an application bind, but not
@@ -452,12 +490,22 @@ def _observed_run(sequence, choosers, effect, k, rerun):
     return run_selection(product, logged_k), k_calls, chooser_runs
 
 
+def _runs_as_the_twin(identity, twin, rerun: bool) -> bool:
+    """Whether a run over ``identity_effect()`` matches one over the twin:
+    equal answers and chooser runs, and under ``rerun=True`` equal calls.
+    With the memo the twin's scored runners make the identity runners'
+    calls with the re-scores left out."""
+    if rerun:
+        return identity == twin
+    return leaves_out_calls(twin, identity)
+
+
 def _identity_runner_mismatches(sequence, rerun: bool) -> tuple[int, int]:
     """Run seeded games (1-6 stages, 1-3 moves, payoffs 0-2 so that ties
     abound, one or two players) and probe products on seeded truth tables
     (1-8 variables) with ``sequence`` over ``identity_effect()`` and with
     :func:`sel_sequence` over its twin.  Returns the number of cases and of
-    those whose answer, continuation calls or chooser runs differ."""
+    those that :func:`_runs_as_the_twin` rejects."""
     rng = random.Random(29)
     cases = []
     for _ in range(120):
@@ -477,8 +525,11 @@ def _identity_runner_mismatches(sequence, rerun: bool) -> tuple[int, int]:
         table = {bits: rng.random() < density for bits in itertools.product((False, True), repeat=arity)}
         cases.append((lambda eff, arity=arity: [bool_probe(eff).chooser] * arity, table.__getitem__))
     mismatches = sum(
-        _observed_run(sequence, choosers(_ID), _ID, k, rerun)
-        != _observed_run(sel_sequence, choosers(_TWIN), _TWIN, k, rerun)
+        not _runs_as_the_twin(
+            _observed_run(sequence, choosers(_ID), _ID, k, rerun),
+            _observed_run(sel_sequence, choosers(_TWIN), _TWIN, k, rerun),
+            rerun,
+        )
         for choosers, k in cases
     )
     return len(cases), mismatches
@@ -509,6 +560,19 @@ class TestIdentityRunners:
     def test_they_run_as_the_generic_runners_over_a_twin(self, rerun):
         cases, mismatches = _identity_runner_mismatches(sel_sequence, rerun)
         assert (cases, mismatches) == (240, 0)
+
+    def test_on_a_uniform_game_only_the_twin_scores_each_leaf_once(self):
+        # Three stages of three moves: the identity memo runners score each
+        # of the 12 candidates of the two inner stages' runs once more, so
+        # k runs (3^4 - 1)/(3 - 1) - 1 = 39 times; the twin's scored runners
+        # call it once per play, 27 times, in the order of the plays.
+        choosers = lambda eff: [argmax_selection(range(3), eff).chooser] * 3
+        payoff = lambda xs: sum(xs) % 4
+        identity = _observed_run(sel_sequence, choosers(_ID), _ID, payoff, False)
+        twin = _observed_run(sel_sequence, choosers(_TWIN), _TWIN, payoff, False)
+        assert len(identity[1]) == 39
+        assert twin[1] == list(itertools.product(range(3), repeat=3))
+        assert _runs_as_the_twin(identity, twin, rerun=False)
 
     def test_the_check_catches_a_rerun_served_from_scoring(self):
         served = rerun_served_from_scoring(sel_sequence)
