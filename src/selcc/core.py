@@ -18,8 +18,9 @@ so a chooser that scores the same candidate twice runs its branch twice.
 The result is the same value the second run would return, so traces and
 answers are unchanged; only the evaluation counts drop (a binary n-stage
 game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
-``rerun=True`` keeps the paper's second run; :func:`selcc.search.sat_product`
-uses it so that its cost does not depend on the formula.
+:func:`sel_sequence`'s ``rerun=True`` keeps the paper's second run in the
+iterated product; :func:`selcc.search.sat_product` uses it so that its cost
+does not depend on the formula.
 
 A bind into a unit has no branch to run twice.  :func:`sel_map` is that
 case on its own: the functor action, with no memo and no second run, whose
@@ -109,8 +110,6 @@ def sel_unit(x: X, eff: EffectInstance | None = None) -> SelectionComputation[X,
 def sel_bind(
     eps: SelectionComputation[X, R],
     f: Callable[[X], SelectionComputation[Y, R]],
-    *,
-    rerun: bool = False,
 ) -> SelectionComputation[Y, R]:
     """Sequence a selection into a dependent family of selections.
 
@@ -127,27 +126,10 @@ def sel_bind(
     paper's definition.  The memo is keyed by object identity, not equality,
     because ``f`` may tell equal candidates such as ``1`` and ``True`` apart;
     each entry keeps its candidate alive so its id cannot be reused.
-
-    ``rerun=True`` is the paper's bind as written: no memo, and the chosen
-    ``x`` runs through ``f`` a second time.  The result is the same; only the
-    continuation calls of the chosen branch are made twice.
     """
     eff = eps.effect
     bind_m = eff.bind
     eps_chooser = eps.chooser
-
-    if rerun:
-
-        def rerun_chooser(k: Continuation) -> Any:
-            def extended(x: Any) -> Any:
-                return bind_m(f(x).chooser(k), k)
-
-            def chosen(x: Any) -> Any:
-                return f(x).chooser(k)
-
-            return bind_m(eps_chooser(extended), chosen)
-
-        return SelectionComputation(rerun_chooser, eff)
 
     def chooser(k: Continuation) -> Any:
         runs: dict[int, tuple[Any, Any]] = {}
@@ -251,12 +233,12 @@ def sel_map(
     and the chosen ``x`` comes out as ``g(x)`` through the effect's ``map``,
     which is exactly its bind into its unit.  By the effect's left-unit law
     this equals ``sel_bind(eps, lambda x: sel_unit(g(x), eps.effect))``, but
-    it keeps no memo and takes no ``rerun``: a unit branch has nothing to run
-    again.  For the nondet effect the left-unit law, and so this equality,
-    holds on duplicate-free ``NondetValue`` results of ``k``, which is the
-    type's invariant; a continuation that breaks it is scored with its
-    duplicates here and without them by the bind.  The caveat is in the
-    scoring only: the map dedups as the bind does.
+    it keeps no memo: a unit branch has nothing to run again.  For the
+    nondet effect the left-unit law, and so this equality, holds on
+    duplicate-free ``NondetValue`` results of ``k``, which is the type's
+    invariant; a continuation that breaks it is scored with its duplicates
+    here and without them by the bind.  The caveat is in the scoring only:
+    the map dedups as the bind does.
     """
     eff = eps.effect
     map_m = eff.map
@@ -328,7 +310,9 @@ def sel_sequence(
     chosen but unscored candidate ask for none, so no ``k`` call is added.
     Answers, logs and chooser runs are the fold's, and the continuation
     calls are the fold's with its re-scores left out: over players that
-    score every candidate, ``k`` runs once per leaf.
+    score every candidate, ``k`` runs once per leaf.  A scored runner reads
+    its records as soon as ``bind`` returns, so it needs the strict bind
+    that :class:`~selcc.effects.EffectInstance` states.
 
     When the shared effect is ``identity_effect()`` itself (``is``, not
     ``==``), the runners apply instead: a stage answers

@@ -39,6 +39,12 @@ class EffectInstance:
     with the same name, unit and bind are the same effect.  Instances are
     immutable bundles of pure functions and are safe to share between
     threads.
+
+    ``bind`` and ``map`` are strict: they apply ``f`` (or ``g``) to every
+    alternative of ``m`` before they return.  The scored runners of
+    :func:`selcc.core.sel_sequence` read what their scoring continuation
+    recorded as soon as ``bind`` returns, so an effect whose bind defers
+    those calls breaks them.
     """
 
     name: str

@@ -92,7 +92,10 @@ def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:
     lift . f``, that step is the lift of one trace value, the probe line and
     then the dummy call's log, answering the probed value.  The search runs
     the reified call once and builds that value once per probed value,
-    instead of binding the line into a map of the call on every run.
+    instead of binding the line into a map of the call on every run.  The
+    per-variable stage is the paper's bind of the probe into that lift,
+    unfolded: the probe scores ``b`` by binding the value into the
+    continuation, and the chosen ``b`` answers the value again.
     """
     outcome = _sat_callcc_outcome(formula)
     return list(outcome.log), outcome.value
@@ -116,7 +119,7 @@ def _sat_callcc_outcome(formula: BooleanFormula) -> TraceValue[Assignment]:
     # Everything below that depends on neither the probed value nor the
     # assignment is built once per search: the dummy's answer here, and in
     # ``step`` the run of the reified call at the dummy, the after-probe
-    # computations of the bool singletons and the per-variable stage.
+    # trace values of the bool singletons and the per-variable stage.
     dummy_answer = logged(dummy)
 
     def step(kk: Callable[[Assignment], SelectionComputation]) -> SelectionComputation:
@@ -124,27 +127,31 @@ def _sat_callcc_outcome(formula: BooleanFormula) -> TraceValue[Assignment]:
         # trace value.
         resumed = run_selection(kk(dummy), eff.unit)
 
-        def after(b: object) -> SelectionComputation:
+        def after(b: object) -> TraceValue:
             # ``sel_bind(sel_lift(tell(line), eff), lambda _: sel_map(kk(dummy),
-            # lambda _: b))`` as one lifted value (see :func:`sat_callcc`).
-            return sel_lift(TraceValue((f"b = {b}, ",) + resumed.log, b), eff)
+            # lambda _: b))`` as the trace value it lifts (see :func:`sat_callcc`).
+            return TraceValue((f"b = {b}, ",) + resumed.log, b)
 
         # Shared only for True and False themselves (by ``is``), so a formula
         # that answers 0 or 1 still logs ``b = 0, `` or ``b = 1, ``.
         after_true, after_false = after(True), after(False)
 
-        def after_probe(b: object) -> SelectionComputation:
+        def after_probe(b: object) -> TraceValue:
             if b is True:
                 return after_true
             if b is False:
                 return after_false
             return after(b)
 
-        # ``rerun=True``: the step after a probe is a lift, so running it
-        # again for the chosen value reads no continuation and, for True and
-        # False, builds nothing, where the memo builds a dict per stage run.
-        stage = sel_bind(bool_probe(eff), after_probe, rerun=True)
-        return sel_sequence([stage] * formula.arity, eff)
+        # The paper's ``sel_bind(probe, lambda b: sel_lift(after_probe(b),
+        # eff))`` unfolded: a lift's chooser answers its value whatever its
+        # continuation, so running the chosen branch again is ``after_probe``.
+        probe, bind = bool_probe(eff).chooser, eff.bind
+
+        def chooser(k: Callable[[bool], TraceValue]) -> TraceValue:
+            return bind(probe(lambda b: bind(after_probe(b), k)), after_probe)
+
+        return sel_sequence([SelectionComputation(chooser, eff)] * formula.arity, eff)
 
     def answer(bits: Assignment) -> SelectionComputation:
         return dummy_answer if bits is dummy else logged(bits)

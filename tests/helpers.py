@@ -7,6 +7,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+from selcc import SelectionComputation
+
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -39,6 +41,19 @@ def leaves_out_calls(observed, reference) -> bool:
     rest = iter(ref_calls)
     in_order = all(any(call == other for other in rest) for call in calls)
     return answer == ref_answer and runs == ref_runs and in_order
+
+
+def paper_sel_bind(eps, f):
+    """The paper's selection bind as written, a reference for ``sel_bind``:
+    ``eps`` scores ``x`` by binding ``f(x)``'s choice under ``k`` into
+    ``k``, and the chosen ``x`` runs through ``f`` a second time, with no
+    memo."""
+    bind = eps.effect.bind
+
+    def chooser(k):
+        return bind(eps.chooser(lambda x: bind(f(x).chooser(k), k)), lambda x: f(x).chooser(k))
+
+    return SelectionComputation(chooser, eps.effect)
 
 
 def rerun_served_from_scoring(sel_sequence):

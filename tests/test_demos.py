@@ -1,17 +1,20 @@
 """The demo scripts, run as ``python demos/<name>.py`` runs them, against
-their whole standard output.
+their whole standard output, and README's Library tour against the output
+lines it shows.
 
 ``dialogue_demo.py`` is pinned beside the call/cc tests, in
 ``tests/test_callcc.py``.
 """
 from __future__ import annotations
 
+import ast
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 SAT_DEMO = [
     "== b0 and not b1 and b2 ==",
@@ -118,3 +121,37 @@ SIMULTANEOUS_GAMES_DEMO = [
 def test_demo_script_output(script, expected, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def _library_tour() -> str:
+    """The ``python`` block under README's ``## Library tour`` heading."""
+    section = (ROOT / "README.md").read_text().split("\n## Library tour\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def _tour_outputs(source: str) -> list[tuple[str, str]]:
+    """Run ``source`` statement by statement and pair the ``repr`` of each
+    expression statement with the ``# …`` line just below it."""
+    lines = source.splitlines()
+    namespace: dict = {}
+    pairs = []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Expr):
+            value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+            shown = lines[statement.end_lineno] if statement.end_lineno < len(lines) else ""
+            pairs.append((repr(value), shown.removeprefix("# ")))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    return pairs
+
+
+class TestReadmeLibraryTour:
+    def test_each_shown_output_is_the_repr_of_the_expression_above_it(self):
+        pairs = _tour_outputs(_library_tour())
+        assert len(pairs) == 3
+        assert [got for got, _ in pairs] == [shown for _, shown in pairs]
+
+    def test_a_wrong_shown_output_is_caught(self):
+        source = _library_tour().replace("# (True, False, True)", "# (True, True, True)")
+        pairs = _tour_outputs(source)
+        assert sum(got != shown for got, shown in pairs) == 1

@@ -371,6 +371,69 @@ class TestThreeArgumentEffects:
         assert EffectInstance(base.name, base.unit, lambda m, f: f(m)) != base
 
 
+# What bind and map hand their function, by effect name.
+_ALTERNATIVES_OF = {
+    "Identity": lambda m: [m],
+    "Trace": lambda m: [m.value],
+    "Nondet": lambda m: list(m.alternatives),
+}
+
+
+def _deferred_calls(eff: EffectInstance) -> tuple[int, int]:
+    """Cases and failures of: once ``bind(m, f)`` or ``map(m, g)`` returns,
+    ``f`` or ``g`` has been applied to each of ``m``'s alternatives, in
+    order, for every ``m`` in the effect's universe over ``range(3)``."""
+    alternatives_of = _ALTERNATIVES_OF[eff.name]
+    cases = failures = 0
+    for m in _UNIVERSES[eff.name](3):
+        for apply, wrap in ((eff.bind, eff.unit), (eff.map, lambda a: a)):
+            calls = []
+            apply(m, lambda a: calls.append(a) or wrap(a))
+            cases += 1
+            failures += calls != alternatives_of(m)
+    return cases, failures
+
+
+class _Deferred:
+    """A nondet value whose alternatives are computed when first read."""
+
+    def __init__(self, compute):
+        self._compute = compute
+
+    @property
+    def alternatives(self):
+        return self._compute()
+
+
+_STRICT_CASES = {"Identity": 6, "Trace": 12, "Nondet": 32}
+
+
+class TestBindIsStrict:
+    """``EffectInstance``'s contract that ``sel_sequence``'s scored runners
+    rely on: ``bind`` and ``map`` apply their function to every alternative
+    before they return."""
+
+    @pytest.mark.parametrize("eff", _BUILT_IN, ids=lambda eff: eff.name)
+    def test_bind_and_map_apply_f_before_they_return(self, eff):
+        assert _deferred_calls(eff) == (_STRICT_CASES[eff.name], 0)
+
+    @pytest.mark.parametrize("base", _BUILT_IN, ids=lambda eff: eff.name)
+    def test_the_derived_map_applies_g_before_it_returns(self, base):
+        eff = EffectInstance(base.name, base.unit, base.bind)
+        assert _deferred_calls(eff) == (_STRICT_CASES[base.name], 0)
+
+    def test_a_lazy_bind_is_caught(self):
+        # Its values read as the nondet bind's, but only once read: every
+        # case whose m has an alternative fails, for bind and derived map.
+        base = nondet_effect()
+        lazy = EffectInstance(
+            base.name, base.unit, lambda m, f: _Deferred(lambda: base.bind(m, f).alternatives)
+        )
+        m = NondetValue((2, 0))
+        assert lazy.bind(m, lambda a: base.unit(a + 1)).alternatives == (3, 1)
+        assert _deferred_calls(lazy) == (32, 30)
+
+
 A = TypeVar("A")
 
 

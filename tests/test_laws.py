@@ -14,7 +14,9 @@ solvers; this module also covers every other suite, the reporting contract
 and ``run_all``'s forked child.  Beyond ``selcc laws``, it checks the two
 lift laws over each effect record's universe and over a trace universe with
 two log lines, pins the random stream of the randomized sweeps' generator,
-and shows that one more effect record is swept by both effect drivers.
+checks ``sel_bind``'s memo against the paper's bind on seeded random
+selections, and shows that one more effect record is swept by both effect
+drivers.
 """
 from __future__ import annotations
 
@@ -77,7 +79,7 @@ from selcc.laws import (
     _table_fn,
 )
 
-from helpers import child_env, leaves_out_calls, source_mutant
+from helpers import child_env, leaves_out_calls, paper_sel_bind, source_mutant
 
 # Each base effect's law record, by effect name.
 _LAWS = {fixture.effect.name: fixture for fixture in laws._EFFECTS}
@@ -751,6 +753,72 @@ class TestSelMapFunctorLaws:
 
 
 # ---------------------------------------------------------------------------
+# sel_bind's memo against the paper's bind, which runs the chosen branch
+# again.
+# ---------------------------------------------------------------------------
+
+
+def _observe_bind(bind, eps, f, k):
+    """The result of ``bind(eps, f)`` under ``k``, with the argument of
+    each continuation call in order and ``eps``'s chooser runs."""
+    calls, runs = [], [0]
+
+    def chooser(kk):
+        runs[0] += 1
+        return eps.chooser(kk)
+
+    def counted_k(y):
+        calls.append(y)
+        return k(y)
+
+    bound = bind(SelectionComputation(chooser, eps.effect), f)
+    return run_selection(bound, counted_k), calls, runs
+
+
+def _memo_bind_counts(bind, effect, samples=300):
+    """(cases, mismatches, cases with calls left out) of ``bind`` against
+    the paper's bind on seeded random selections over ``effect``: a random
+    ``eps`` over one to three candidates, one random selection per
+    candidate and a random continuation.  ``bind`` must give the reference's
+    answer, log or alternatives included, and its calls with some left
+    out, in order."""
+    fixture = _LAWS[effect]
+    rng = random.Random(f"memo-bind-{effect}")
+    memo = {}
+    cases = mismatches = shorter = 0
+    for _ in range(samples):
+        xs, ys = (tuple(range(rng.randrange(1, 4))) for _ in range(2))
+        r_values = tuple(range(rng.randrange(1, 4)))
+        eps = _random_computation(SELECTION, fixture, rng, xs, r_values, memo)
+        family = [_random_computation(SELECTION, fixture, rng, ys, r_values, memo) for _ in xs]
+        k = [fixture.value(rng, r_values) for _ in ys].__getitem__
+        observed = _observe_bind(bind, eps, family.__getitem__, k)
+        reference = _observe_bind(paper_sel_bind, eps, family.__getitem__, k)
+        cases += 1
+        mismatches += not leaves_out_calls(observed, reference)
+        shorter += len(observed[1]) < len(reference[1])
+    return cases, mismatches, shorter
+
+
+class TestMemoBindEqualsThePapersBind:
+    # Every chosen candidate was scored, so the memo leaves out the chosen
+    # branch's second run wherever ``eps`` chooses one: in every trace case,
+    # and in the nondet cases where ``eps`` has an alternative (273 of 300).
+    @pytest.mark.parametrize("effect, shorter", [("Trace", 300), ("Nondet", 273)])
+    def test_sel_bind_answers_as_the_paper_s_bind(self, effect, shorter):
+        assert _memo_bind_counts(sel_bind, effect) == (300, 0, shorter)
+
+    # Wrong wherever the chosen candidate's branch differs from the last
+    # scored one's.
+    @pytest.mark.parametrize("effect, mismatches", [("Trace", 95), ("Nondet", 100)])
+    def test_serving_the_last_stored_run_is_caught(self, effect, mismatches):
+        last_run = source_mutant(
+            sel_bind, ("run = runs.get(id(x))", "run = next(reversed(runs.values()), None)")
+        )
+        assert _memo_bind_counts(last_run, effect)[1] == mismatches
+
+
+# ---------------------------------------------------------------------------
 # sel_sequence against the iterated product as a fold of binary products,
 # the reference it is an optimisation of.
 # ---------------------------------------------------------------------------
@@ -758,12 +826,12 @@ class TestSelMapFunctorLaws:
 
 def _fold_sequence(comps, rerun):
     """The iterated product as the right fold of binary products: each step
-    binds its head and maps the rest of the product onto it."""
+    binds its head and maps the rest of the product onto it, with
+    ``sel_bind``'s memo, or under ``rerun`` with the paper's bind."""
+    bind = paper_sel_bind if rerun else sel_bind
     result = sel_unit((), comps[0].effect)
     for comp in reversed(comps):
-        result = sel_bind(
-            comp, lambda x, rest=result: sel_map(rest, lambda xs: (x,) + xs), rerun=rerun
-        )
+        result = bind(comp, lambda x, rest=result: sel_map(rest, lambda xs: (x,) + xs))
     return result
 
 
