@@ -149,7 +149,12 @@ _NOT = ast.Not()
 
 def _compile(tree: _Node, arity: int) -> Callable[[Sequence[bool]], bool]:
     """Compile ``tree`` into one function of an assignment ``b`` of ``arity``
-    values: ``def formula(b): x0, x1, ... = b; return bool(...)``.
+    values: ``def formula(b): x0, x1, ... = b; return True if ... else False``.
+
+    The conditional expression puts the whole ``&``/``|``/``!`` tree in test
+    context, where CPython compiles it to conditional jumps on the locals:
+    no ``not`` is computed, no name is looked up and no builtin is called,
+    and every evaluation still returns exactly ``True`` or ``False``.
 
     Unpacking ``b`` into one local name per variable keeps the compiled
     expression at one node per variable occurrence, where ``b[i]`` takes three;
@@ -176,7 +181,9 @@ def _compile(tree: _Node, arity: int) -> Callable[[Sequence[bool]], bool]:
 
     targets = [ast.Name(f"x{i}", store, **_AT) for i in range(arity)]
     unpack = ast.Assign([ast.Tuple(targets, store, **_AT)], ast.Name("b", load, **_AT), **_AT)
-    result = ast.Call(ast.Name("bool", load, **_AT), [build(tree)], [], **_AT)
+    result = ast.IfExp(
+        build(tree), ast.Constant(True, **_AT), ast.Constant(False, **_AT), **_AT
+    )
     params = ast.arguments(
         posonlyargs=[], args=[ast.arg("b", **_AT)], kwonlyargs=[], kw_defaults=[], defaults=[]
     )
@@ -185,7 +192,7 @@ def _compile(tree: _Node, arity: int) -> Callable[[Sequence[bool]], bool]:
     formula = ast.FunctionDef(
         "formula", params, [unpack, ast.Return(result, **_AT)], [], type_params=[], **_AT
     )
-    namespace = {"__builtins__": {}, "bool": bool}
+    namespace = {"__builtins__": {}}
     exec(compile(ast.Module([formula], []), "<formula>", "exec"), namespace)
     return namespace["formula"]
 
@@ -199,9 +206,10 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
     levels raise :class:`FormulaParseError` naming the offending position.
 
     Parsing builds a light tree, with each flat chain of one operator as one
-    n-ary node, and compiles it into one Python function (see
-    :func:`_compile`), so an evaluation is one call.  That function takes an
-    assignment of exactly ``arity`` values.
+    n-ary node, and compiles it into one Python function that returns
+    ``True if <test> else False`` (see :func:`_compile`), so an evaluation is
+    one call that runs conditional jumps and returns exactly ``True`` or
+    ``False``.  That function takes an assignment of exactly ``arity`` values.
     """
     tokens = _lex(src)
     pos = 0

@@ -266,22 +266,28 @@ def _random_chain(rng: random.Random, arity: int, depth: int = 0) -> str:
     return text
 
 
-def _assert_cnfs_agree_with_clause_evaluation() -> None:
+# A compiled formula returns ``True if <test> else False``: its test compiles
+# to conditional jumps, with no name to look up (``bool(...)`` has one).  Both
+# references return a bool, so each ``is`` also asserts that an evaluation
+# returns exactly True or False, whatever values the assignment holds.
+def _assert_cnfs_agree_with_clause_evaluation(values=(False, True)) -> None:
     rng = random.Random(8)
     for n in range(8, 13):
         for _ in range(2):
             clauses = _random_cnf(rng, n)
             formula = parse_formula(_cnf_text(clauses), n)
-            for bits in itertools.product((False, True), repeat=n):
+            assert formula.evaluate.__code__.co_names == ()
+            for bits in itertools.product(values, repeat=n):
                 assert formula.evaluate(bits) is _cnf_holds(clauses, bits), (n, bits)
 
 
-def _assert_chains_agree_with_python() -> None:
+def _assert_chains_agree_with_python(values=(False, True)) -> None:
     rng = random.Random(5)
     texts = _MIXED_CHAINS + [_random_chain(rng, 5) for _ in range(200)]
     for text in texts:
         formula, reference = parse_formula(text, 5), _python_reference(text)
-        for bits in itertools.product((False, True), repeat=5):
+        assert formula.evaluate.__code__.co_names == ()
+        for bits in itertools.product(values, repeat=5):
             assert formula.evaluate(bits) is reference(bits), (text, bits)
 
 
@@ -291,6 +297,11 @@ class TestCompiledFormula:
 
     def test_mixed_chains_agree_with_python_operators(self):
         _assert_chains_agree_with_python()
+
+    def test_evaluations_on_zero_one_ints_return_bools(self):
+        # A bare ``return <test>`` would return the ints themselves.
+        _assert_cnfs_agree_with_clause_evaluation((0, 1))
+        _assert_chains_agree_with_python((0, 1))
 
     def test_a_broken_merge_is_caught(self, monkeypatch):
         chain = cli._chain
