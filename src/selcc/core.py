@@ -18,9 +18,6 @@ so a chooser that scores the same candidate twice runs its branch twice.
 The result is the same value the second run would return, so traces and
 answers are unchanged; only the evaluation counts drop (a binary n-stage
 game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
-:func:`sel_sequence`'s ``rerun=True`` keeps the paper's second run in the
-iterated product; :func:`selcc.search.sat_product` uses it so that its cost
-does not depend on the formula.
 
 A bind into a unit has no branch to run twice.  :func:`sel_map` is that
 case on its own: the functor action, with no memo and no second run, whose
@@ -39,15 +36,14 @@ chooser run, without a map and its bind per stage.  Its last stage
 scores a candidate by calling ``k`` directly, by the left-unit law, with
 :func:`sel_map`'s nondet caveat, and maps its choice into the tuple with the
 effect's ``map`` rather than building a unit per alternative.  Except
-over identity (below), its memo runners are *scored*: a runner whose
-caller uses it also answers its result's score, ``bind(result, k)``, and
-where every choice was scored it
-builds that score from the scores made while choosing, by associativity,
-instead of scoring the result's leaves again.  Where a choice was not
-scored it binds the result into ``k``, and where the caller does not use
-the score it computes none.  So the continuation calls are the fold's with
-its re-scores left out, one per leaf over players that score every
-candidate; ``rerun=True`` keeps the fold's calls.  Over the instance
+over identity (below), its runners are *scored*: a runner whose caller
+uses it also answers its result's score, ``bind(result, k)``, and where
+every choice was scored it builds that score from the scores made while
+choosing, by associativity, instead of scoring the result's leaves again.
+Where a choice was not scored it binds the result into ``k``, and where
+the caller does not use the score it computes none.  So the continuation
+calls are the fold's with its re-scores left out, one per leaf over
+players that score every candidate.  Over the instance
 ``identity_effect()`` returns, and only over it, the product's runners
 apply where they would bind or map: identity's bind and its map are both
 application, so the continuation calls and chooser runs are the fold's,
@@ -269,8 +265,6 @@ def sel_product(
 def sel_sequence(
     computations: Iterable[SelectionComputation[X, R]],
     eff: EffectInstance | None = None,
-    *,
-    rerun: bool = False,
 ) -> SelectionComputation[tuple[X, ...], R]:
     """The iterated product: a selection over tuples, one slot per input.
 
@@ -290,14 +284,9 @@ def sel_sequence(
     k(prefix + xs))`` (for nondet because ``prefix +`` is injective, so
     dedup commutes with it).
 
-    Under ``rerun=True`` an inner runner scores a candidate ``x`` by binding
-    the next runner's result at ``prefix + (x,)`` into ``k`` and runs its
-    choice again: answers, logs, continuation calls and chooser runs are
-    the fold's.
-
-    Otherwise the runners are *scored*: ``run(prefix)`` answers the result
-    and ``run(prefix, True)`` answers ``(result, score)``, where ``score``
-    is ``bind(result, k)``.  An inner runner scores ``x`` by the next
+    The runners are *scored*: ``run(prefix)`` answers the result and
+    ``run(prefix, True)`` answers ``(result, score)``, where ``score`` is
+    ``bind(result, k)``.  An inner runner scores ``x`` by the next
     runner's score at ``prefix + (x,)`` and answers with the result of its
     choice from a memo, as in :func:`sel_bind`.  Where every chosen ``x``
     was scored, its score is the bind of its chooser's answer into those
@@ -315,13 +304,12 @@ def sel_sequence(
     that :class:`~selcc.effects.EffectInstance` states.
 
     When the shared effect is ``identity_effect()`` itself (``is``, not
-    ``==``), the runners apply instead: a stage answers
-    ``after(prefix + (chooser(lambda x: k(after(prefix + (x,)))),))`` under
-    ``rerun=True``, or scores a candidate as ``k(inner)`` and looks its
-    choice up in the memo, and the last stage answers ``prefix +
-    (last(lambda x: k(prefix + (x,))),)``.  Identity's bind and map are
-    application, so each is the fold's runner with the bind or map
-    applied: the same answers, continuation calls and chooser runs.  These
+    ``==``), the runners apply instead: a stage scores a candidate as
+    ``k(inner)`` and looks its choice up in the memo, and the last stage
+    answers ``prefix + (last(lambda x: k(prefix + (x,))),)``.  Identity's
+    bind and map are application, so each is the fold's runner with the
+    bind or map applied: the same answers, continuation calls and chooser
+    runs.  These
     runners re-score as the fold does, because over identity a call of
     ``k`` costs less than the memo entry that would replace it.  The depth
     at the continuation stays three frames per stage (the runner, the
@@ -356,13 +344,6 @@ def sel_sequence(
             after: Callable[[tuple[Any, ...]], Any],
             k: Continuation,
         ) -> Callable[[tuple[Any, ...]], Any]:
-            if rerun:
-
-                def run(prefix: tuple[Any, ...]) -> Any:
-                    return after(prefix + (chooser(lambda x: k(after(prefix + (x,)))),))
-
-                return run
-
             def run(prefix: tuple[Any, ...]) -> Any:
                 runs: dict[int, tuple[Any, Any]] = {}
 
@@ -392,19 +373,6 @@ def sel_sequence(
             after: Callable[..., Any],
             k: Continuation,
         ) -> Callable[..., Any]:
-            if rerun:
-
-                def run(prefix: tuple[Any, ...]) -> Any:
-                    def extended(x: Any) -> Any:
-                        return bind_m(after(prefix + (x,)), k)
-
-                    def chosen(x: Any) -> Any:
-                        return after(prefix + (x,))
-
-                    return bind_m(chooser(extended), chosen)
-
-                return run
-
             # A scored runner: run(prefix) answers the result and
             # run(prefix, True) answers (result, bind(result, k)).
             def run(prefix: tuple[Any, ...], scored: bool = False) -> Any:

@@ -60,14 +60,30 @@ def sat_product(formula: BooleanFormula) -> Assignment:
     """Solve a formula by running the product of boolean probes against it.
 
     Returns a satisfying assignment whenever one exists; the all-False
-    assignment otherwise.  Deterministic and pure.  The product re-runs each
-    chosen branch, as the paper's bind does (``rerun=True``), so every formula
-    costs exactly ``2^n - 1`` evaluations, satisfiable or not.  With
-    :func:`sel_bind`'s memo a satisfiable formula would stop early, and the
-    cost would depend on where its first witness lies.
+    assignment otherwise.  Deterministic and pure.
+
+    This is the paper's iterated product of ``formula.arity``
+    :func:`bool_probe` selections over identity, whose bind runs each chosen
+    branch a second time, with identity's bind applied.  A probe answers
+    its continuation's value at True, so stage ``i`` answers
+    ``solve(prefix + (evaluate(solve(prefix + (True,))),))`` and the last
+    stage ``prefix + (evaluate(prefix + (True,)),)``, and every formula
+    costs exactly ``2^n - 1`` evaluations, satisfiable or not.  Once the
+    benchmark re-pins sat's evaluation count,
+    ``run_selection(sel_sequence(probes), formula.evaluate)`` replaces
+    this: :func:`sel_sequence`'s memo serves the second runs, so a
+    satisfiable formula stops early.
     """
-    probes = [bool_probe() for _ in range(formula.arity)]
-    return run_selection(sel_sequence(probes, rerun=True), formula.evaluate)
+    evaluate, last = formula.evaluate, formula.arity - 1
+    if last < 0:
+        return ()
+
+    def solve(prefix: Assignment) -> Assignment:
+        if len(prefix) == last:
+            return prefix + (evaluate(prefix + (True,)),)
+        return solve(prefix + (evaluate(solve(prefix + (True,))),))
+
+    return solve(())
 
 
 def sat_callcc(formula: BooleanFormula) -> tuple[list[str], Assignment]:

@@ -7,7 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from selcc import SelectionComputation
+from selcc import SelectionComputation, sel_bind, sel_map, sel_unit
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -56,22 +56,16 @@ def paper_sel_bind(eps, f):
     return SelectionComputation(chooser, eps.effect)
 
 
-def rerun_served_from_scoring(sel_sequence):
-    """``sel_sequence`` whose identity rerun runner answers with the run of
-    its choice made while scoring, as the memo does, instead of running the
-    chosen branch again: answers stay right, continuation calls drop."""
-    return source_mutant(
-        sel_sequence,
-        (
-            "                    return after(prefix + (chooser(lambda x: k(after(prefix + (x,)))),))",
-            "                    scored = {}\n\n"
-            "                    def extended(x):\n"
-            "                        scored[x] = after(prefix + (x,))\n"
-            "                        return k(scored[x])\n\n"
-            "                    x = chooser(extended)\n"
-            "                    return scored[x] if x in scored else after(prefix + (x,))",
-        ),
-    )
+def fold_sequence(comps, bind=sel_bind):
+    """The iterated product as the right fold of binary products, a
+    reference for ``sel_sequence``: each step binds its head with ``bind``
+    (``sel_bind``'s memo, or :func:`paper_sel_bind`) and maps the rest of
+    the product onto it.  No computations fold to the unit at ``()`` over
+    identity, as in ``sel_sequence``."""
+    result = sel_unit((), comps[0].effect if comps else None)
+    for comp in reversed(comps):
+        result = bind(comp, lambda x, rest=result: sel_map(rest, lambda xs: (x,) + xs))
+    return result
 
 
 def unshared_callcc_term(monad, handler, eff):

@@ -37,7 +37,7 @@ from selcc import (
 from selcc.games import SequentialGameSpec, Stage, backward_induction
 from selcc.search import bool_probe
 
-from helpers import leaves_out_calls, paper_sel_bind, rerun_served_from_scoring, source_mutant
+from helpers import leaves_out_calls, paper_sel_bind, source_mutant
 
 _ID = identity_effect()
 
@@ -306,22 +306,16 @@ class TestSelSequence:
     # their result, and every run but the top one, asked for its score,
     # makes one bind more: it binds its choice into the scores made while
     # choosing, where the fold bound its result into k again.  So k runs
-    # once per leaf, m^n times.  rerun=True runs each chosen branch again,
-    # and its continuation calls are those that binding a unit into k made.
-    # Each last-stage run maps its choice: an effect built without a map
-    # (the "derived" counts) makes that map one bind, and the real nondet
-    # map (the "native" counts) makes it one map and no bind.
+    # once per leaf, m^n times.  Each last-stage run maps its choice: an
+    # effect built without a map (the "derived" counts) makes that map one
+    # bind, and the real nondet map (the "native" counts) makes it one map
+    # and no bind.
     @pytest.mark.parametrize(
-        "stages, moves, rerun, derived, native",
-        [
-            (4, 4, False, (169, 256), (105, 64, 256)),
-            (6, 2, False, (125, 64), (93, 32, 64)),
-            (4, 4, True, (877, 3840), (365, 512, 3840)),
-            (6, 2, True, (2047, 4032), (1023, 1024, 4032)),
-        ],
-        ids=["4x4-memo", "6x2-memo", "4x4-rerun", "6x2-rerun"],
+        "stages, moves, derived, native",
+        [(4, 4, (169, 256), (105, 64, 256)), (6, 2, (125, 64), (93, 32, 64))],
+        ids=["4x4-memo", "6x2-memo"],
     )
-    def test_effect_binds_on_all_tie_games(self, stages, moves, rerun, derived, native):
+    def test_effect_binds_on_all_tie_games(self, stages, moves, derived, native):
         base = nondet_effect()
         counts = {"binds": 0, "maps": 0, "calls": 0}
 
@@ -343,7 +337,7 @@ class TestSelSequence:
                 SelectionComputation(nondet_argmax_selection(range(moves)).chooser, eff)
                 for _ in range(stages)
             ]
-            chosen = run_selection(sel_sequence(players, rerun=rerun), k)
+            chosen = run_selection(sel_sequence(players), k)
             assert chosen.alternatives == tuple(itertools.product(range(moves), repeat=stages))
             return counts["binds"], counts["maps"], counts["calls"]
 
@@ -364,9 +358,7 @@ def _probe_player(effect: str) -> SelectionComputation:
     return SelectionComputation(lambda k: k(0) % 3, _ID)
 
 
-def _nested_run_mismatches(
-    sequence, effect: str, rerun: bool, probe_middle: bool = False
-) -> tuple[int, int]:
+def _nested_run_mismatches(sequence, effect: str, probe_middle: bool = False) -> tuple[int, int]:
     """Run ``sequence``'s three-stage argmax product over ``effect`` on
     moves 0-2 again from each call of the outer run's continuation, under an
     inner continuation that scores every play the other way round.  Returns
@@ -385,17 +377,15 @@ def _nested_run_mismatches(
         result = lambda xs, score: score
     if probe_middle:
         players[1] = _probe_player(effect)
-    product = sequence(players, rerun=rerun)
+    product = sequence(players)
     rng = random.Random(26)
     outer_scores = {xs: rng.randint(0, 4) for xs in itertools.product(range(3), repeat=3)}
 
     def inner_k(xs):
         return result(xs, 4 - outer_scores[xs])
 
-    separate_inner = run_selection(sel_sequence(players, rerun=rerun), inner_k)
-    separate_outer = run_selection(
-        sel_sequence(players, rerun=rerun), lambda xs: result(xs, outer_scores[xs])
-    )
+    separate_inner = run_selection(sel_sequence(players), inner_k)
+    separate_outer = run_selection(sel_sequence(players), lambda xs: result(xs, outer_scores[xs]))
     assert separate_inner != separate_outer
     inner_answers = []
 
@@ -441,28 +431,26 @@ class TestSelSequenceRunnersPerRun:
     may run the same product again, under another continuation, while the
     outer run is still scoring."""
 
-    @pytest.mark.parametrize("rerun", [False, True], ids=["memo", "rerun"])
     @pytest.mark.parametrize("effect", ["identity", "trace", "nondet"])
-    def test_a_run_inside_a_continuation_equals_a_separate_run(self, effect, rerun):
-        inner_runs, mismatches = _nested_run_mismatches(sel_sequence, effect, rerun)
+    def test_a_run_inside_a_continuation_equals_a_separate_run(self, effect):
+        inner_runs, mismatches = _nested_run_mismatches(sel_sequence, effect)
         assert inner_runs >= 27
         assert mismatches == 0
 
-    @pytest.mark.parametrize("rerun", [False, True], ids=["memo", "rerun"])
     @pytest.mark.parametrize("effect", ["identity", "trace", "nondet"])
-    def test_the_check_catches_one_continuation_per_product(self, effect, rerun):
+    def test_the_check_catches_one_continuation_per_product(self, effect):
         broken = _one_continuation_per_product(sel_sequence)
-        assert _nested_run_mismatches(broken, effect, rerun)[1] > 0
+        assert _nested_run_mismatches(broken, effect)[1] > 0
 
     # Argmax players answer only moves they scored, so there the scored
     # runners of inner stages never read k: only an unscored choice below
     # the top makes them score a result by binding it into k.
     @pytest.mark.parametrize("effect", ["identity", "trace", "nondet"])
     def test_each_edit_alone_is_caught_past_an_unscored_choice(self, effect):
-        assert _nested_run_mismatches(sel_sequence, effect, False, probe_middle=True)[1] == 0
+        assert _nested_run_mismatches(sel_sequence, effect, probe_middle=True)[1] == 0
         for part in _ONE_CONTINUATION_EDITS:
             broken = _one_continuation_per_product(sel_sequence, (part,))
-            assert _nested_run_mismatches(broken, effect, False, probe_middle=True)[1] > 0, part
+            assert _nested_run_mismatches(broken, effect, probe_middle=True)[1] > 0, part
 
 
 # The identity effect's twin: the same unit and an application bind, but not
@@ -471,7 +459,7 @@ class TestSelSequenceRunnersPerRun:
 _TWIN = EffectInstance("Identity", lambda a: a, lambda m, f: f(m))
 
 
-def _observed_run(sequence, choosers, effect, k, rerun):
+def _observed_run(sequence, choosers, effect, k):
     """The answer of ``sequence`` over ``choosers`` under ``k``, every
     argument ``k`` was called with, and the stage index of every chooser
     run, each in call order."""
@@ -488,26 +476,18 @@ def _observed_run(sequence, choosers, effect, k, rerun):
         k_calls.append(xs)
         return k(xs)
 
-    product = sequence([counted(i, c) for i, c in enumerate(choosers)], rerun=rerun)
+    product = sequence([counted(i, c) for i, c in enumerate(choosers)])
     return run_selection(product, logged_k), k_calls, chooser_runs
 
 
-def _runs_as_the_twin(identity, twin, rerun: bool) -> bool:
-    """Whether a run over ``identity_effect()`` matches one over the twin:
-    equal answers and chooser runs, and under ``rerun=True`` equal calls.
-    With the memo the twin's scored runners make the identity runners'
-    calls with the re-scores left out."""
-    if rerun:
-        return identity == twin
-    return leaves_out_calls(twin, identity)
-
-
-def _identity_runner_mismatches(sequence, rerun: bool) -> tuple[int, int]:
+def _identity_runner_mismatches(sequence) -> tuple[int, int]:
     """Run seeded games (1-6 stages, 1-3 moves, payoffs 0-2 so that ties
     abound, one or two players) and probe products on seeded truth tables
     (1-8 variables) with ``sequence`` over ``identity_effect()`` and with
     :func:`sel_sequence` over its twin.  Returns the number of cases and of
-    those that :func:`_runs_as_the_twin` rejects."""
+    those where the runs' answers or chooser runs differ, or the twin's
+    scored runners make calls other than the identity runners' with the
+    re-scores left out."""
     rng = random.Random(29)
     cases = []
     for _ in range(120):
@@ -527,10 +507,9 @@ def _identity_runner_mismatches(sequence, rerun: bool) -> tuple[int, int]:
         table = {bits: rng.random() < density for bits in itertools.product((False, True), repeat=arity)}
         cases.append((lambda eff, arity=arity: [bool_probe(eff).chooser] * arity, table.__getitem__))
     mismatches = sum(
-        not _runs_as_the_twin(
-            _observed_run(sequence, choosers(_ID), _ID, k, rerun),
-            _observed_run(sel_sequence, choosers(_TWIN), _TWIN, k, rerun),
-            rerun,
+        not leaves_out_calls(
+            _observed_run(sel_sequence, choosers(_TWIN), _TWIN, k),
+            _observed_run(sequence, choosers(_ID), _ID, k),
         )
         for choosers, k in cases
     )
@@ -558,9 +537,8 @@ class TestIdentityRunners:
     """Over ``identity_effect()`` itself, ``sel_sequence`` applies where it
     would bind; any other effect, an identity-like twin included, binds."""
 
-    @pytest.mark.parametrize("rerun", [False, True], ids=["memo", "rerun"])
-    def test_they_run_as_the_generic_runners_over_a_twin(self, rerun):
-        cases, mismatches = _identity_runner_mismatches(sel_sequence, rerun)
+    def test_they_run_as_the_generic_runners_over_a_twin(self):
+        cases, mismatches = _identity_runner_mismatches(sel_sequence)
         assert (cases, mismatches) == (240, 0)
 
     def test_on_a_uniform_game_only_the_twin_scores_each_leaf_once(self):
@@ -570,16 +548,21 @@ class TestIdentityRunners:
         # call it once per play, 27 times, in the order of the plays.
         choosers = lambda eff: [argmax_selection(range(3), eff).chooser] * 3
         payoff = lambda xs: sum(xs) % 4
-        identity = _observed_run(sel_sequence, choosers(_ID), _ID, payoff, False)
-        twin = _observed_run(sel_sequence, choosers(_TWIN), _TWIN, payoff, False)
+        identity = _observed_run(sel_sequence, choosers(_ID), _ID, payoff)
+        twin = _observed_run(sel_sequence, choosers(_TWIN), _TWIN, payoff)
         assert len(identity[1]) == 39
         assert twin[1] == list(itertools.product(range(3), repeat=3))
-        assert _runs_as_the_twin(identity, twin, rerun=False)
+        assert leaves_out_calls(twin, identity)
 
-    def test_the_check_catches_a_rerun_served_from_scoring(self):
-        served = rerun_served_from_scoring(sel_sequence)
-        assert _identity_runner_mismatches(served, rerun=False)[1] == 0
-        assert _identity_runner_mismatches(served, rerun=True)[1] > 0
+    def test_the_check_catches_a_memo_serving_the_last_scored_run(self):
+        last_run = source_mutant(
+            sel_sequence,
+            (
+                "x = chooser(extended)\n                entry = runs.get(id(x))",
+                "x = chooser(extended)\n                entry = next(reversed(runs.values()), None)",
+            ),
+        )
+        assert _identity_runner_mismatches(last_run)[1] > 0
 
     def test_the_identity_products_bind_and_map_nothing(self):
         game = SequentialGameSpec(
@@ -589,7 +572,7 @@ class TestIdentityRunners:
         assert _effect_bind_calls(lambda: sat_product(BooleanFormula(6, all)), _ID) == 0
         assert _effect_bind_calls(lambda: backward_induction(game), _ID) == 0
         probes = [SelectionComputation(bool_probe().chooser, _TWIN)] * 6
-        twin_sat = lambda: run_selection(sel_sequence(probes, rerun=True), all)
+        twin_sat = lambda: run_selection(sel_sequence(probes), all)
         assert _effect_bind_calls(twin_sat, _TWIN) > 0
 
 

@@ -79,7 +79,7 @@ from selcc.laws import (
     _table_fn,
 )
 
-from helpers import child_env, leaves_out_calls, paper_sel_bind, source_mutant
+from helpers import child_env, fold_sequence, leaves_out_calls, paper_sel_bind, source_mutant
 
 # Each base effect's law record, by effect name.
 _LAWS = {fixture.effect.name: fixture for fixture in laws._EFFECTS}
@@ -824,25 +824,14 @@ class TestMemoBindEqualsThePapersBind:
 # ---------------------------------------------------------------------------
 
 
-def _fold_sequence(comps, rerun):
-    """The iterated product as the right fold of binary products: each step
-    binds its head and maps the rest of the product onto it, with
-    ``sel_bind``'s memo, or under ``rerun`` with the paper's bind."""
-    bind = paper_sel_bind if rerun else sel_bind
-    result = sel_unit((), comps[0].effect)
-    for comp in reversed(comps):
-        result = bind(comp, lambda x, rest=result: sel_map(rest, lambda xs: (x,) + xs))
-    return result
-
-
 def _broken_sequence(fault):
     """A prefix-passing product with one fault: ``"reversed prefix"`` puts
     each choice in front of the prefix, ``"first run"`` answers every stage
     with the run of the first candidate it scored, and ``"last stage first
     candidate"`` answers the last stage with the unit at the first candidate
-    it scored, with the memo and under ``rerun=True``."""
+    it scored."""
 
-    def sequence(comps, rerun):
+    def sequence(comps):
         eff = comps[0].effect
 
         def run_from(i, prefix, k):
@@ -856,8 +845,7 @@ def _broken_sequence(fault):
             def extended(x):
                 inner = run_from(i + 1, grow(x), k)
                 scored.append(x)
-                if not rerun:
-                    runs[id(x)] = (x, inner)
+                runs[id(x)] = (x, inner)
                 return eff.bind(inner, k)
 
             def chosen(x):
@@ -893,8 +881,8 @@ def _sequence_cases(effect):
                 yield comps, dict(zip(points, table)).__getitem__
 
 
-def _observe(sequence, comps, k, rerun):
-    """The result of ``sequence(comps, rerun)`` under ``k``, with the
+def _observe(sequence, comps, k):
+    """The result of ``sequence(comps)`` under ``k``, with the
     arguments of each continuation call in order and each stage's chooser
     runs."""
     calls, runs = [], [0] * len(comps)
@@ -911,64 +899,56 @@ def _observe(sequence, comps, k, rerun):
         return k(xs)
 
     stages = [counted(i, comp) for i, comp in enumerate(comps)]
-    return run_selection(sequence(stages, rerun), counted_k), calls, runs
+    return run_selection(sequence(stages), counted_k), calls, runs
 
 
-def _matches_the_fold(effect, rerun, observed, folded):
+def _matches_the_fold(effect, observed, folded):
     """Whether an observed product run matches the fold's: equal answers
     (with their logs) and chooser runs, and calls that are the fold's with
-    some left out.  Over identity and under ``rerun=True`` the calls are
-    equal too; elsewhere the scored runners skip the fold's re-scores."""
-    if effect == "identity" or rerun:
+    some left out.  Over identity the calls are equal too; elsewhere the
+    scored runners skip the fold's re-scores."""
+    if effect == "identity":
         return observed == folded
     return leaves_out_calls(observed, folded)
 
 
 def _sequence_failures(effect, sequence):
-    """(cases, failures) of ``sequence`` against the fold, each case run
-    with the memo and with ``rerun=True``."""
+    """(cases, failures) of ``sequence`` against the fold."""
     wrap_k = _EFFECTS[effect][1]
     cases = failures = 0
     for comps, c in _sequence_cases(effect):
         k = wrap_k(c)
-        for rerun in (False, True):
-            cases += 1
-            failures += not _matches_the_fold(
-                effect,
-                rerun,
-                _observe(sequence, comps, k, rerun),
-                _observe(_fold_sequence, comps, k, rerun),
-            )
+        cases += 1
+        failures += not _matches_the_fold(
+            effect, _observe(sequence, comps, k), _observe(fold_sequence, comps, k)
+        )
     return cases, failures
 
 
 class TestSelSequenceEqualsTheFold:
     # Per effect, pairs of sequences and continuations: (1 + 2 + 2 + 64)
     # with one stage, (1 + 2 + 4 + 64) with two and (1 + 2 + 8 + 64) with
-    # three, each run with the memo and with rerun=True.  Each must match
-    # the fold as _matches_the_fold says.
-    CASES = 430
+    # three.  Each must match the fold as _matches_the_fold says.
+    CASES = 215
 
     @pytest.mark.parametrize("effect", sorted(_EFFECTS))
     def test_sel_sequence_equals_the_fold(self, effect):
-        sequence = lambda comps, rerun: sel_sequence(comps, rerun=rerun)
-        assert _sequence_failures(effect, sequence) == (self.CASES, 0)
+        assert _sequence_failures(effect, sel_sequence) == (self.CASES, 0)
 
-    # A reversed prefix fails every case of two or more stages except the 12
+    # A reversed prefix fails every case of two or more stages except the 6
     # at n = 1, where the tuple reads the same both ways.  The first run is
-    # wrong only with the memo, and only where the chooser picks a candidate
-    # other than the one it scored first.  The last stage's first candidate
-    # is wrong where the last chooser picks another one, 131 times with the
-    # memo and 131 under rerun=True.  Over nondet with the memo, a few of
-    # those cases differ from the fold only in calls that the fold makes
-    # again to re-score a stage's result; a product may leave those out, so
-    # they pass there.
+    # wrong only where the chooser picks a candidate other than the one it
+    # scored first.  The last stage's first candidate is wrong where the
+    # last chooser picks another one.  Over nondet, a few of those cases
+    # differ from the fold only in calls that the fold makes again to
+    # re-score a stage's result; a product may leave those out, so they
+    # pass there.
     NONDET_RESCORES_ONLY = {"reversed prefix": 0, "first run": 11, "last stage first candidate": 8}
 
     @pytest.mark.parametrize("effect", sorted(_EFFECTS))
     @pytest.mark.parametrize(
         "fault, failures",
-        [("reversed prefix", 280), ("first run", 155), ("last stage first candidate", 262)],
+        [("reversed prefix", 140), ("first run", 155), ("last stage first candidate", 131)],
     )
     def test_a_broken_sequence_fails(self, fault, failures, effect):
         if effect == "nondet":
@@ -1050,9 +1030,9 @@ def _scored_runner_counts(effect, sequence):
         else:
             table = {xs: NondetValue(tuple(rng.sample(range(3), rng.randint(0, 3)))) for xs in plays}
         players = [_scored_players(effect, m, widths)[kind] for m, kind in zip(moves, chosen_kinds)]
-        observed = _observe(sequence, players, table.__getitem__, False)
-        folded = _observe(_fold_sequence, players, table.__getitem__, False)
-        ok = _matches_the_fold(effect, False, observed, folded)
+        observed = _observe(sequence, players, table.__getitem__)
+        folded = _observe(fold_sequence, players, table.__getitem__)
+        ok = _matches_the_fold(effect, observed, folded)
         if all(kind in _SCORING_PLAYERS for kind in chosen_kinds):
             all_scoring += 1
             ok = ok and sorted(observed[1]) == plays
@@ -1079,8 +1059,7 @@ def _scored_mutant(fault):
             ("entry = scores.get(id(x))", "entry = next(iter(scores.values()), None)"),
         ],
     }
-    broken = source_mutant(sel_sequence, *edits[fault])
-    return lambda comps, rerun: broken(comps, rerun=rerun)
+    return source_mutant(sel_sequence, *edits[fault])
 
 
 class TestScoredRunners:
@@ -1095,8 +1074,7 @@ class TestScoredRunners:
 
     @pytest.mark.parametrize("effect", ["nondet", "trace"])
     def test_they_match_the_fold(self, effect):
-        sequence = lambda comps, rerun: sel_sequence(comps, rerun=rerun)
-        assert _scored_runner_counts(effect, sequence) == self.COUNTS[effect]
+        assert _scored_runner_counts(effect, sel_sequence) == self.COUNTS[effect]
 
     @pytest.mark.parametrize("effect", ["nondet", "trace"])
     @pytest.mark.parametrize("fault", ["first score", "unscored reused", "last stage first record"])
@@ -1108,8 +1086,7 @@ class TestSelSequenceLastStage:
     # The last stage scores a candidate by k itself, not by binding a unit
     # into k, so a continuation that breaks NondetValue's duplicate-free
     # invariant reaches the last chooser with its duplicates, as in sel_map.
-    @pytest.mark.parametrize("rerun", [False, True])
-    def test_the_last_chooser_sees_k_s_own_value(self, rerun):
+    def test_the_last_chooser_sees_k_s_own_value(self):
         eff = nondet_effect()
         seen = []
 
@@ -1128,7 +1105,7 @@ class TestSelSequenceLastStage:
 
         first = SelectionComputation(lambda k: NondetValue((7,)), eff)
         last = SelectionComputation(chooser, eff)
-        answer = run_selection(sel_sequence([first, last], rerun=rerun), k)
+        answer = run_selection(sel_sequence([first, last]), k)
         assert len(seen) == len(returned) == 2
         assert all(score is value for score, value in zip(seen, returned))
         assert answer == NondetValue(((7, 0), (7, 1)))

@@ -29,11 +29,11 @@ from selcc import (
     to_quantifier,
     trace_effect,
 )
-from selcc import core, search
+from selcc import search
 from selcc.cli import parse_formula
 from selcc.core import SELECTION
 
-from helpers import rerun_served_from_scoring, source_mutant, unshared_callcc_term
+from helpers import fold_sequence, paper_sel_bind, source_mutant, unshared_callcc_term
 
 _TARGET = BooleanFormula(3, lambda b: b[0] and not b[1] and b[2])
 
@@ -226,9 +226,10 @@ class TestProductAgainstOracle:
 
 
 class TestSatProductEvaluationCounts:
-    """Exact formula-evaluation counts.  ``sat_product`` re-runs each chosen
-    branch, so its cost is 2^n - 1 for every formula; the memoised product
-    of the same probes stops early on satisfiable ones."""
+    """Exact formula-evaluation counts.  ``sat_product`` runs each chosen
+    branch again, as the paper's bind does, so its cost is 2^n - 1 for
+    every formula; ``sel_sequence``'s memoised product of the same probes
+    stops early on satisfiable ones."""
 
     @pytest.mark.parametrize("arity", [1, 2, 5, 12])
     def test_unsatisfiable_formula_makes_exactly_two_to_the_n_minus_one(self, arity):
@@ -259,15 +260,64 @@ class TestSatProductEvaluationCounts:
         assert run_selection(sel_sequence(probes), formula.evaluate) == (True,) * 20
         assert calls[0] == 20
 
-    def test_a_rerun_served_from_scoring_is_caught(self, monkeypatch):
+    def test_a_true_choice_served_from_scoring_is_caught(self, monkeypatch):
         # Such a product answers right, and costs 2^n - 1 on unsatisfiable
         # formulas too, but stops early on satisfiable ones.
-        monkeypatch.setattr(search, "sel_sequence", rerun_served_from_scoring(core.sel_sequence))
+        monkeypatch.setitem(globals(), "sat_product", _served_from_scoring())
         self.test_unsatisfiable_formula_makes_exactly_two_to_the_n_minus_one(5)
         with pytest.raises(AssertionError):
             self.test_all_true_formula_costs_the_same_as_an_unsatisfiable_one()
         with pytest.raises(AssertionError):
             self.test_random_tables_cost_exactly_the_bound_and_agree_with_the_oracle()
+
+
+def _served_from_scoring():
+    """``sat_product`` whose inner stages answer a True choice with the run
+    that scored it, as a memo would, instead of running it again."""
+    return source_mutant(
+        sat_product,
+        (
+            "        return solve(prefix + (evaluate(solve(prefix + (True,))),))",
+            "        scored = solve(prefix + (True,))\n"
+            "        choice = evaluate(scored)\n"
+            "        return scored if choice is True else solve(prefix + (choice,))",
+        ),
+    )
+
+
+def _assert_sat_product_is_the_papers_fold(seed: int = 0, count: int = 300) -> None:
+    """``sat_product`` on seeded tables of 0-8 variables, a third of them
+    answering the ints 0 and 1, against the fold of :func:`bool_probe`
+    selections bound with the paper's bind: the same answers, element by
+    element by identity, and the same evaluations in the same order."""
+    rng = random.Random(seed)
+    for index in range(count):
+        arity = rng.randint(0, 8)
+        answers = _ANSWERS["int" if index % 3 == 0 else "bool"]
+        density = rng.choice((0.0, 0.01, 0.1, 0.5, 1.0))
+        table = tuple(answers[rng.random() < density] for _ in range(2**arity))
+        plain = _truth_table_formula(arity, table)
+        formula, seen = _evaluated(plain)
+        folded, want_seen = _evaluated(plain)
+        bits = sat_product(formula)
+        probes = [bool_probe() for _ in range(arity)]
+        want_bits = run_selection(fold_sequence(probes, paper_sel_bind), folded.evaluate)
+        # By identity: 1 == True, so equality would not see a swapped value.
+        assert len(bits) == len(want_bits) and all(map(lambda a, b: a is b, bits, want_bits))
+        assert seen == want_seen, (arity, table)
+
+
+class TestSatProductAgainstThePapersFold:
+    """``sat_product`` is the paper's product of probes over identity, with
+    each bind applied."""
+
+    def test_seeded_tables_answer_and_evaluate_as_the_fold(self):
+        _assert_sat_product_is_the_papers_fold()
+
+    def test_a_true_choice_served_from_scoring_is_caught(self, monkeypatch):
+        monkeypatch.setitem(globals(), "sat_product", _served_from_scoring())
+        with pytest.raises(AssertionError):
+            _assert_sat_product_is_the_papers_fold()
 
 
 def _reference_sat_callcc(formula: BooleanFormula):
