@@ -285,34 +285,37 @@ def _served_from_scoring():
     )
 
 
-def _assert_sat_product_is_the_papers_fold(seed: int = 0, count: int = 300) -> None:
-    """``sat_product`` on seeded tables of 0-8 variables, a third of them
-    answering the ints 0 and 1, against the fold of :func:`bool_probe`
+def _assert_sat_product_is_the_papers_fold(
+    arities=range(9), seed: int = 0, count: int = 34
+) -> None:
+    """``sat_product`` on ``count`` seeded tables for each arity, a third of
+    them answering the ints 0 and 1, against the fold of :func:`bool_probe`
     selections bound with the paper's bind: the same answers, element by
     element by identity, and the same evaluations in the same order."""
-    rng = random.Random(seed)
-    for index in range(count):
-        arity = rng.randint(0, 8)
-        answers = _ANSWERS["int" if index % 3 == 0 else "bool"]
-        density = rng.choice((0.0, 0.01, 0.1, 0.5, 1.0))
-        table = tuple(answers[rng.random() < density] for _ in range(2**arity))
-        plain = _truth_table_formula(arity, table)
-        formula, seen = _evaluated(plain)
-        folded, want_seen = _evaluated(plain)
-        bits = sat_product(formula)
-        probes = [bool_probe() for _ in range(arity)]
-        want_bits = run_selection(fold_sequence(probes, paper_sel_bind), folded.evaluate)
-        # By identity: 1 == True, so equality would not see a swapped value.
-        assert len(bits) == len(want_bits) and all(map(lambda a, b: a is b, bits, want_bits))
-        assert seen == want_seen, (arity, table)
+    for arity in arities:
+        rng = random.Random(100 * seed + arity)
+        for index in range(count):
+            answers = _ANSWERS["int" if index % 3 == 0 else "bool"]
+            density = rng.choice((0.0, 0.01, 0.1, 0.5, 1.0))
+            table = tuple(answers[rng.random() < density] for _ in range(2**arity))
+            plain = _truth_table_formula(arity, table)
+            formula, seen = _evaluated(plain)
+            folded, want_seen = _evaluated(plain)
+            bits = sat_product(formula)
+            probes = [bool_probe() for _ in range(arity)]
+            want_bits = run_selection(fold_sequence(probes, paper_sel_bind), folded.evaluate)
+            # By identity: 1 == True, so equality would not see a swapped value.
+            assert len(bits) == len(want_bits) and all(map(lambda a, b: a is b, bits, want_bits))
+            assert seen == want_seen, (arity, table)
 
 
 class TestSatProductAgainstThePapersFold:
     """``sat_product`` is the paper's product of probes over identity, with
     each bind applied."""
 
-    def test_seeded_tables_answer_and_evaluate_as_the_fold(self):
-        _assert_sat_product_is_the_papers_fold()
+    @pytest.mark.parametrize("arity", range(9))
+    def test_seeded_tables_answer_and_evaluate_as_the_fold(self, arity):
+        _assert_sat_product_is_the_papers_fold(arities=[arity])
 
     def test_a_true_choice_served_from_scoring_is_caught(self, monkeypatch):
         monkeypatch.setitem(globals(), "sat_product", _served_from_scoring())
