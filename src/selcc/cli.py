@@ -56,12 +56,9 @@ class GameFileError(_UsageError):
 # three Python frames per stage at the payoff call (``sel_sequence``'s stage
 # runner, the argmax player's chooser and its scoring continuation), so
 # 100 stages stay inside the default recursion limit of 1000.  How many
-# more fit depends on the caller's stack (single-move games, Python 3.11):
-# ``backward_induction`` called from a top-level script or from a function
-# it calls solves 331 stages and fails at 332; ``main(["solve", path])``
-# called from a top-level script, with this limit lifted, solves 330 and
-# fails at 331; a pytest 9 test function, 33 frames deep, solves 318 and
-# fails at 319.
+# more fit depends on the caller's stack; Tier-1 solves 200 stages, so a
+# change that adds frames per stage fails a test before it reaches this
+# limit.
 MAX_SEQUENTIAL_STAGES = 100
 
 # The most variables ``demo-sat`` accepts, the same arity limit as
@@ -84,9 +81,8 @@ MAX_FORMULA_DEPTH = 200
 
 # The most cases ``laws`` draws per seeded sweep (``--samples``).  The twelve
 # randomized monad sweeps and the randomized backward-induction sweep each
-# run this many, so a pass takes time linear in it: ``--samples 10000`` took
-# 7.3-7.5 s on a 2-core Linux x86-64 machine with Python 3.11, against 1.5 s
-# at the default of 1000, so a pass at the limit takes about 70 s.
+# run this many, so a pass takes time linear in it and the limit bounds it
+# (CHANGES.md has the timings).
 MAX_LAW_SAMPLES = 100_000
 
 
@@ -509,7 +505,7 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 
 # Built on the first ``main`` call and kept for the process, not at import,
-# where ``import selcc`` would pay for it (0.4-0.8 ms a build).
+# where every ``import selcc`` would pay for it.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

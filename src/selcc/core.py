@@ -10,46 +10,15 @@ selection computations re-runs continuations, which is what makes products of
 selections search, and is the source of every interesting behaviour in
 :mod:`selcc.search` and :mod:`selcc.games`.
 
-The paper's selection bind runs the chosen branch twice: once to score it and
-once more to produce the result.  :func:`sel_bind` serves the second run from
-a memo scoped to one chooser call, so a chosen branch that was scored is not
-run again.  The memo serves only that second run: scoring is not memoised,
-so a chooser that scores the same candidate twice runs its branch twice.
-The result is the same value the second run would return, so traces and
-answers are unchanged; only the evaluation counts drop (a binary n-stage
-game makes ``2^(n+1) - 1`` payoff calls instead of ``3^n``).
-
-A bind into a unit has no branch to run twice.  :func:`sel_map` is that
-case on its own: the functor action, with no memo and no second run, whose
-chosen value comes out through the effect's own ``map`` in one step (a
+The selection monad's bind is :func:`sel_bind`, which serves the paper's
+second run of the chosen branch from a memo; its functor action is
+:func:`sel_map`, a bind into a unit done by the effect's own ``map`` (a
 selection monad over a base monad uses that monad's map; Hedges, *Monad
-transformers for backtracking search*, MSFP 2014).  The binary product
-:func:`sel_product` is built from it as in Escardó & Oliva's binary product
-of selection functions (*Selection functions, bar recursion and backward
-induction*, MSCS 2010): the inner selection is only mapped into the pair,
-and only the outer one is bound.  The iterated
-product :func:`sel_sequence` is the fold of these binary products, run as
-one chooser that passes the chosen prefix down to the next stage; by the
-effect laws, binding a prefix-mapped value into ``k`` is binding the value
-into ``k`` after the prefix, so it equals the fold in every answer, log and
-chooser run, without a map and its bind per stage.  Its last stage
-scores a candidate by calling ``k`` directly, by the left-unit law, with
-:func:`sel_map`'s nondet caveat, and maps its choice into the tuple with the
-effect's ``map`` rather than building a unit per alternative.  Except
-over identity (below), its runners are *scored*: a runner whose caller
-uses it also answers its result's score, ``bind(result, k)``, and where
-every choice was scored it builds that score from the scores made while
-choosing, by associativity, instead of scoring the result's leaves again.
-Where a choice was not scored it binds the result into ``k``, and where
-the caller does not use the score it computes none.  So the continuation
-calls are the fold's with its re-scores left out, one per leaf over
-players that score every candidate.  Over the instance
-``identity_effect()`` returns, and only over it, the product's runners
-apply where they would bind or map: identity's bind and its map are both
-application, so the continuation calls and chooser runs are the fold's,
-re-scores included, with no effect call per stage, and the depth stays
-three frames per stage.  They do not reuse scores, because over identity a
-call of ``k`` costs less than the memo entry that would replace it.
+transformers for backtracking search*, MSFP 2014).  :func:`sel_product` and
+:func:`sel_sequence` are Escardó & Oliva's binary and iterated products of
+selection functions (*Selection functions, bar recursion and backward
+induction*, MSCS 2010).  Each function's docstring states its design and
+the law by which it equals the definition it replaces.
 
 :class:`Monad` bundles each monad's functions into one value, so code written
 once over it (the call/cc dialogue, the law drivers) serves both monads.
@@ -116,10 +85,11 @@ def sel_bind(
     ``Y``.  That second pass is served from a memo that lives for one
     ``chooser(k)`` call: ``k`` is fixed within it and ``f`` and every chooser
     are pure, so a scored candidate's ``f(x).chooser(k)`` is exactly what a
-    second run would return.  Effects are values (a trace log, a set of
-    alternatives), so the effect of the chosen branch still enters the result
-    once through the scoring bind and once through the outer bind, as in the
-    paper's definition.  The memo is keyed by object identity, not equality,
+    second run would return.  Scoring is not memoised: a chooser that scores
+    the same candidate twice runs its branch twice.  Effects are values (a
+    trace log, a set of alternatives), so the effect of the chosen branch
+    still enters the result once through the scoring bind and once through
+    the outer bind, as in the paper's definition.  The memo is keyed by object identity, not equality,
     because ``f`` may tell equal candidates such as ``1`` and ``True`` apart;
     each entry keeps its candidate alive so its id cannot be reused.
     """
@@ -441,8 +411,8 @@ def run_quantifier(phi: QuantifierComputation[X, R], k: Continuation) -> Any:
     return phi.runner(k)
 
 
-# A NamedTuple, not a dataclass: its class is built in 0.2 ms instead of 1.2 ms
-# (2-core Linux x86-64, Python 3.11), and every caller imports it.
+# A NamedTuple, not a dataclass: its class builds several times faster, and
+# every caller imports it (ROADMAP, "Settled").
 class Monad(NamedTuple):
     """One of the two computation monads as a value.
 

@@ -284,9 +284,8 @@ def sum_selections(
     ``SelectionComputation`` contract), so every agent gives the same pairs
     as it would if both players ran for each pair.  With argmax players on a
     tie-free m-by-m game the continuation runs 2m^2 times and the players'
-    choosers 2m times, against m^3 + m^2 calls and m^2 + m runs when the
-    row player ran for every pair.  Membership is tested on the stored alternatives, not
-    through a set, so unhashable moves work.
+    choosers 2m times.  Membership is tested on the stored alternatives,
+    not through a set, so unhashable moves work.
     """
     xs = _distinct(x_domain, "sum_selections x_domain")
     ys = _distinct(y_domain, "sum_selections y_domain")

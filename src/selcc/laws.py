@@ -37,15 +37,12 @@ computation, Kleisli map and, for a monad, continuation) is still counted,
 and checked as a comparison of two table entries.  A tabulation keeps the
 ids of what it has bound (:meth:`_Tabulation.bind_row`), and a monad's
 tabulations live for its whole sweep, so a composed computation is bound once
-per monad across every carrier size, not once per size combination.  The
-selection and quantifier sweeps cover 4.2 and 4.4 million cases with 4,706
-and 5,028 binds and 18,764 and 19,526 runs on a continuation, in 60–75 ms
-each; the three base effects take about 0.10 s, of which the trace effect's
-447,600 cases take about 65 ms against 0.9 s for a direct sweep (best of 7,
-2-core Linux x86-64, Python 3.11).  :func:`run_all` runs the randomized
-sweeps, about half of a pass, in a forked child beside the other suites, so
-a pass takes about half its serial time on two cores; without ``os.fork``,
-or while another thread runs, it runs every suite in turn.
+per monad across every carrier size, not once per size combination: Tier-1
+pins 4,706 and 5,028 binds for the selection and quantifier sweeps' 4.2 and
+4.4 million cases.  :func:`run_all` runs the randomized sweeps, about half
+of a pass, in a forked child beside the other suites; without ``os.fork``,
+or while another thread runs, it runs every suite in turn.  The timings are
+in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -613,8 +610,8 @@ def _effect_laws(fixture: _EffectLaws, seed: int = 0) -> tuple[int, int]:
     three laws run, with ``m`` over ``fixture.values(n_a)`` and the Kleisli
     maps ``f``, ``g`` tabulated into ``values(n_b)`` and ``values(n_c)``.  The
     sweeps are the monads' own, with each value as its own one-entry table,
-    so a case compares two ids; on the trace effect (447,600 cases at sizes
-    up to 3) this takes about 65 ms instead of 0.9 s for a direct sweep.
+    so a case compares two ids (447,600 cases on the trace effect at sizes
+    up to 3).
     Then ``fixture.samples`` random ``(a, m, f, g)`` drawn from
     ``f"{name}-laws-{seed}"`` (the effect's name in lower case) check the
     three laws once each at carrier ``max(sizes) + 1``.

@@ -1,6 +1,6 @@
 """The demo scripts, run as ``python demos/<name>.py`` runs them, against
-their whole standard output, and README's Library tour against the output
-lines it shows.
+their whole standard output; README's Library tour against the output
+lines it shows; and README's design notes against CHANGES.md.
 
 ``dialogue_demo.py`` is pinned beside the call/cc tests, in
 ``tests/test_callcc.py``.
@@ -8,6 +8,7 @@ lines it shows.
 from __future__ import annotations
 
 import ast
+import re
 import runpy
 from pathlib import Path
 
@@ -155,3 +156,50 @@ class TestReadmeLibraryTour:
         source = _library_tour().replace("# (True, False, True)", "# (True, True, True)")
         pairs = _tour_outputs(source)
         assert sum(got != shown for got, shown in pairs) == 1
+
+
+def _joined(text: str) -> str:
+    """``text`` with its line breaks and runs of spaces joined into one space."""
+    return " ".join(text.split())
+
+
+def _pointer_phrases(readme: str) -> list[str]:
+    """The phrase each "entry on …" or "entries for …" pointer names, up to
+    the next punctuation, split at " and for ", without quotes or a leading
+    "the", in lower case."""
+    found = re.findall(r"\bentr(?:y on|ies for) (.+?)(?=[.,;:()]|$)", _joined(readme))
+    phrases = [part.strip(' "').casefold() for match in found for part in match.split(" and for ")]
+    return [phrase.removeprefix("the ") for phrase in phrases]
+
+
+# A number, then a unit of time, memory or throughput.
+MEASUREMENT = re.compile(r"\d(?:[\d,.]*\d)?\s*(?:ms|µs|s|MB|items/s)\b")
+
+
+class TestReadmeDesignNotes:
+    """README states each design once, with a pointer to the CHANGES.md entry
+    that keeps its measurements; the measurements stay out of README."""
+
+    def test_each_pointer_names_a_phrase_in_changes(self):
+        readme = (ROOT / "README.md").read_text()
+        changes = _joined((ROOT / "CHANGES.md").read_text()).casefold()
+        phrases = _pointer_phrases(readme)
+        assert [phrase for phrase in phrases if phrase not in changes] == []
+        assert len(phrases) >= 10
+
+    def test_each_named_benchmark_file_exists(self):
+        names = set(re.findall(r"BENCH_\w+\.json", (ROOT / "README.md").read_text()))
+        assert [name for name in sorted(names) if not (ROOT / name).is_file()] == []
+
+    def test_the_design_notes_hold_no_time_or_memory_figure(self):
+        notes = (ROOT / "README.md").read_text().split("\n## Design notes\n", 1)[1]
+        assert MEASUREMENT.findall(_joined(notes.split("\n## ", 1)[0])) == []
+
+    def test_a_dangling_pointer_and_a_timing_are_caught(self):
+        text = "Its timings are in the entry on the lifted probe step. It took 94 → 27 ms."
+        assert _pointer_phrases(text) == ["lifted probe step"]
+        assert MEASUREMENT.findall(text) == ["27 ms"]
+        assert MEASUREMENT.findall("0.30 µs, 117 MB, 5.6–6.3 s, 244.6 items/s") == [
+            "0.30 µs", "117 MB", "6.3 s", "244.6 items/s"
+        ]
+        assert MEASUREMENT.findall("18 stages, 2 moves, 3×6, 4·2ⁿ−3 binds") == []

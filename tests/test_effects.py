@@ -1,11 +1,14 @@
-"""Tests for the three effect instances: identity, trace, nondeterminism."""
+"""Tests for the three effect instances: identity, trace, nondeterminism;
+the value types they build; and the frozen records of every module."""
 from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import inspect
 import itertools
 import pickle
+import pkgutil
 import random
 from typing import Generic, TypeVar
 
@@ -13,19 +16,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import selcc
 from selcc import (
+    BooleanFormula,
     EffectInstance,
     NondetValue,
+    QuantifierComputation,
+    SelectionComputation,
+    SequentialGameSpec,
+    SimultaneousGameSpec,
+    Stage,
     TraceValue,
     identity_effect,
     nondet_effect,
     quant_lift,
+    quant_unit,
     run_quantifier,
+    sel_unit,
     tell,
     trace_effect,
 )
 from selcc import effects
-from selcc.laws import _EFFECTS
+from selcc.laws import _EFFECTS, LawReport
 
 
 class TestIdentityEffect:
@@ -597,3 +609,54 @@ class TestValueTypesBehaveLikePlainDataclasses:
         monkeypatch.setattr(cls, "__init__", broken)
         with pytest.raises(AssertionError):
             _assert_behaves_like_a_plain_dataclass(cls, seed=0)
+
+
+# One value of each frozen slots dataclass that the classes above do not
+# cover, built fresh for each test.
+_RECORDS = {
+    SelectionComputation: lambda: sel_unit(1),
+    QuantifierComputation: lambda: quant_unit(1),
+    EffectInstance: lambda: EffectInstance("Plain", lambda a: a, lambda m, f: f(m)),
+    BooleanFormula: lambda: BooleanFormula(2, all),
+    Stage: lambda: Stage(0, ("a", "b")),
+    SequentialGameSpec: lambda: SequentialGameSpec(("P",), (Stage(0, ("a",)),), {("a",): (1,)}.__getitem__),
+    SimultaneousGameSpec: lambda: SimultaneousGameSpec(("R", "C"), (("a",), ("b",)), max),
+    LawReport: lambda: LawReport("law", 1, 0),
+}
+
+
+class TestRecordsAreFrozen:
+    """Every frozen slots dataclass in ``selcc`` refuses to change."""
+
+    def test_every_frozen_slots_dataclass_is_checked(self):
+        found = set()
+        for module_info in pkgutil.iter_modules(selcc.__path__):
+            module = importlib.import_module(f"selcc.{module_info.name}")
+            found.update(
+                cls
+                for cls in vars(module).values()
+                if isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and dataclasses.is_dataclass(cls)
+                and cls.__dataclass_params__.frozen
+                and "__slots__" in vars(cls)
+            )
+        assert found == set(_RECORDS) | {TraceValue, NondetValue}
+
+    @pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+    def test_no_attribute_can_be_set_or_deleted(self, cls):
+        record = _RECORDS[cls]()
+        names = [field.name for field in dataclasses.fields(record)]
+        before = [getattr(record, name) for name in names]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        # A name that is not a field meets the standard library's fault on
+        # Python 3.10-3.13: the generated __setattr__ calls super() on the
+        # class as it was before slots=True rebuilt it, and raises TypeError.
+        with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
+            record.other = None
+        assert not hasattr(record, "other")
+        assert all(getattr(record, name) is value for name, value in zip(names, before))
