@@ -35,7 +35,6 @@ from .games import (
     backward_induction,
     simultaneous_equilibria,
 )
-from .laws import run_all
 from .search import BooleanFormula, _sat_callcc_outcome, format_assignment
 
 
@@ -491,6 +490,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_laws(args: argparse.Namespace) -> int:
     _check_bound("--samples", args.samples, 0, MAX_LAW_SAMPLES)
+    from .laws import run_all  # only this command loads the law suites
+
     reports = run_all(seed=args.seed, samples=args.samples)
     failed = 0
     for report in reports:

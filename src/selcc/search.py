@@ -68,11 +68,13 @@ def sat_product(formula: BooleanFormula) -> Assignment:
     its continuation's value at True, so stage ``i`` answers
     ``solve(prefix + (evaluate(solve(prefix + (True,))),))`` and the last
     stage ``prefix + (evaluate(prefix + (True,)),)``, and every formula
-    costs exactly ``2^n - 1`` evaluations, satisfiable or not.  Once the
-    benchmark re-pins sat's evaluation count,
-    ``run_selection(sel_sequence(probes), formula.evaluate)`` replaces
-    this: :func:`sel_sequence`'s memo serves the second runs, so a
-    satisfiable formula stops early.
+    costs exactly ``2^n - 1`` evaluations, satisfiable or not.
+    :func:`sel_sequence`'s memo would serve the second runs, but running the
+    probes through it is slower than this unfolded product.  So once the
+    benchmark re-pins sat's evaluation count, the memo is to be written into
+    this product, still unfolded: stage ``i`` scores ``solve(prefix +
+    (True,))`` and, if the formula chooses True there, answers that run
+    instead of solving the same prefix again.
     """
     evaluate, last = formula.evaluate, formula.arity - 1
     if last < 0:

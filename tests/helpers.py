@@ -1,8 +1,10 @@
 """Helpers shared by several test modules; pytest collects no tests here."""
 from __future__ import annotations
 
+import ast
 import inspect
 import os
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -18,6 +20,24 @@ def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     return env
+
+
+def modules_loaded_by(code: str) -> list[str]:
+    """The ``selcc`` submodules, and ``random`` if it is among them, that a
+    fresh interpreter loads while it runs ``code``, sorted.  The child runs
+    without ``site``, which on some installs imports ``random`` at start-up."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(m for m in new if m.startswith('selcc.') or m == 'random'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
 
 
 def source_mutant(function, *edits: tuple[str, str]):

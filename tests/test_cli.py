@@ -992,7 +992,7 @@ class TestSolveCommand:
 class TestLawsCommand:
     def test_reports_failures_with_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "selcc.cli.run_all",
+            "selcc.laws.run_all",
             lambda seed, samples: [LawReport("good", 5, 0), LawReport("bad", 5, 2)],
         )
         assert main(["laws"]) == 1
@@ -1002,7 +1002,7 @@ class TestLawsCommand:
 
     def test_all_passing_reports_exit_zero(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "selcc.cli.run_all",
+            "selcc.laws.run_all",
             lambda seed, samples: [LawReport("good", 5, 0)],
         )
         assert main(["laws", "--seed", "3", "--samples", "10"]) == 0
@@ -1012,7 +1012,7 @@ class TestLawsCommand:
         def run_all(seed, samples):
             raise AssertionError("no suite may run")
 
-        monkeypatch.setattr("selcc.cli.run_all", run_all)
+        monkeypatch.setattr("selcc.laws.run_all", run_all)
         assert main(["laws", "--samples", "-3"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --samples must be at least 0\n")
@@ -1024,7 +1024,7 @@ class TestLawsCommand:
             seen.append(samples)
             return [LawReport("good", samples, 0)]
 
-        monkeypatch.setattr("selcc.cli.run_all", run_all)
+        monkeypatch.setattr("selcc.laws.run_all", run_all)
         assert main(["laws", "--samples", str(MAX_LAW_SAMPLES)]) == 0
         assert seen == [MAX_LAW_SAMPLES]
         assert capsys.readouterr().err == ""
@@ -1033,7 +1033,7 @@ class TestLawsCommand:
         def run_all(seed, samples):
             raise AssertionError("no suite may run")
 
-        monkeypatch.setattr("selcc.cli.run_all", run_all)
+        monkeypatch.setattr("selcc.laws.run_all", run_all)
         assert main(["laws", "--samples", str(MAX_LAW_SAMPLES + 1)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

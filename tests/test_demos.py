@@ -1,6 +1,7 @@
 """The demo scripts, run as ``python demos/<name>.py`` runs them, against
 their whole standard output; README's Library tour against the output
-lines it shows; and README's design notes against CHANGES.md.
+lines it shows and the submodules it loads; and README's design notes
+against CHANGES.md.
 
 ``dialogue_demo.py`` is pinned beside the call/cc tests, in
 ``tests/test_callcc.py``.
@@ -13,6 +14,8 @@ import runpy
 from pathlib import Path
 
 import pytest
+
+from helpers import modules_loaded_by
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -156,6 +159,10 @@ class TestReadmeLibraryTour:
         source = _library_tour().replace("# (True, False, True)", "# (True, True, True)")
         pairs = _tour_outputs(source)
         assert sum(got != shown for got, shown in pairs) == 1
+
+    def test_the_tour_loads_neither_the_laws_nor_the_cli(self):
+        loaded = modules_loaded_by(_library_tour())
+        assert loaded == ["selcc.callcc", "selcc.core", "selcc.effects", "selcc.games", "selcc.search"]
 
 
 def _joined(text: str) -> str:

@@ -1381,7 +1381,7 @@ class TestRunAll:
 
     def test_importing_selcc_loads_no_process_machinery(self):
         code = (
-            "import sys, selcc\n"
+            "import sys\nfrom selcc import *\n"
             "print(sorted(m for m in ('pickle', 'multiprocessing', 'concurrent.futures') if m in sys.modules))"
         )
         result = subprocess.run(
