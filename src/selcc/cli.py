@@ -318,6 +318,18 @@ def _payoff_fault(payoffs: dict, plays: Iterable[tuple[str, ...]], n_players: in
 def _parse_payoff_table(
     payoffs: Any, move_lists: Sequence[Sequence[str]], n_players: int
 ) -> dict[tuple[str, ...], tuple[int, ...]]:
+    """A dict from each play, a tuple with one move from each of
+    ``move_lists`` in :func:`itertools.product` order, to the utility tuple
+    that ``payoffs`` holds under the play's comma-joined key; a
+    :class:`GameFileError` naming the first fault, as :func:`_payoff_fault`
+    finds it, if the table is not total, exact and one-to-one.
+
+    Where every utility is an exact ``int``, as in every table read from
+    JSON, equal vectors are one value, and all plays that have one share a
+    single tuple.  An ``int`` subclass such as an ``IntEnum`` equals a plain
+    ``int`` but is not the same value, so a table that holds one gives each
+    play a tuple of its own entry's elements.
+    """
     if not isinstance(payoffs, dict):
         raise GameFileError('"payoffs" must be an object')
     if math.prod(map(len, move_lists)) > len(payoffs):
@@ -338,7 +350,9 @@ def _parse_payoff_table(
     ):
         # Finds no fault only in subclasses of int or list (never from JSON).
         _payoff_fault(payoffs, plays, n_players)
-    return dict(zip(plays, map(tuple, raws)))
+        return dict(zip(plays, map(tuple, raws)))
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return dict(zip(plays, (shared.setdefault(v, v) for v in map(tuple, raws))))
 
 
 def _string_list(raw: Any, what: str) -> tuple[str, ...]:
@@ -367,6 +381,13 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
     has, or a missing or malformed payoff, then a key that matches no play.
     A document with more plays than payoff entries fails before its plays
     are listed.
+
+    A sequential game's payoff is the look-up of a dict keyed by play.  A
+    simultaneous game's payoff reads one dict per row move, keyed by column
+    move, so no ``(row, col)`` tuple is kept or built per look-up.  Either
+    way the payoff at every play equals the document's vector, and where
+    every utility is an exact ``int``, as in any document read from JSON, it
+    returns one tuple object per distinct vector.
     """
     if not isinstance(doc, dict):
         raise GameFileError("game document must be a JSON object")
@@ -414,10 +435,13 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
             if repeated is not None:
                 raise GameFileError(f"{what} move list repeats move {moves[repeated]!r}")
         table = _parse_payoff_table(doc.get("payoffs"), (row_moves, col_moves), 2)
+        rows: dict[str, dict[str, tuple[int, ...]]] = {x: {} for x in row_moves}
+        for (x, y), utilities in table.items():
+            rows[x][y] = utilities
         return SimultaneousGameSpec(
             (players[0], players[1]),
             (row_moves, col_moves),
-            lambda x, y: table[(x, y)],
+            lambda x, y: rows[x][y],
         )
     raise GameFileError('"type" must be "sequential" or "simultaneous"')
 

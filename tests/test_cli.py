@@ -30,10 +30,12 @@ from selcc import (
     backward_induction_oracle,
     format_assignment,
     main,
+    nash_oracle,
     parse_formula,
     parse_game,
     sat_callcc,
     sat_product,
+    simultaneous_equilibria,
 )
 from selcc import cli
 from selcc.cli import (
@@ -97,6 +99,70 @@ def _comma_doc(kind: str, second_moves: list[str], payoffs: dict) -> dict:
 def _comma_collision_doc(kind: str) -> dict:
     # ("a,b", "c") and ("a", "b,c") both join to "a,b,c": four plays, three keys.
     return _comma_doc(kind, ["c", "b,c"], {"a,b,c": [1, 1], "a,b,b,c": [2, 2], "a,c": [3, 3]})
+
+
+# Simultaneous shapes: one row, one column, unequal sides, and a square game
+# whose players share move names, where a transposed table reads wrong cells.
+_SIM_SHAPES = ("1xk", "kx1", "mxn", "mxm")
+
+
+def _valid_game_docs(seed: int = 29, count: int = 240) -> list[tuple[dict, list[tuple[str, ...]]]]:
+    """Seeded valid documents, each with its plays in product order:
+    sequential games of 1-4 stages and simultaneous games of every shape in
+    ``_SIM_SHAPES``, by turns.  Utilities are drawn from a few vectors, so
+    most documents repeat vectors and tie; some simultaneous games have move
+    names that contain commas."""
+    rng = random.Random(seed)
+    docs = []
+    for index in range(count):
+        if index % 2 == 0:
+            n_players = rng.randint(1, 3)
+            move_lists = [
+                [f"m{j}" for j in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 4))
+            ]
+            doc = {
+                "type": "sequential",
+                "players": [f"P{i}" for i in range(n_players)],
+                "stages": [
+                    {"controller": rng.randrange(n_players), "moves": moves}
+                    for moves in move_lists
+                ],
+            }
+        else:
+            n_players = 2
+            shape = _SIM_SHAPES[index // 2 % len(_SIM_SHAPES)]
+            m, n = rng.randint(2, 5), rng.randint(2, 5)
+            m, n = {"1xk": (1, n), "kx1": (m, 1), "mxn": (m, m + n - 1), "mxm": (m, m)}[shape]
+            if shape == "mxm":
+                move_lists = [[f"s{i}" for i in range(m)]] * 2
+            elif rng.random() < 0.5:
+                # Every row move ends in ",x" and every column move starts
+                # with "y,", so each key splits one way only.
+                move_lists = [[f"r{i},x" for i in range(m)], [f"y,c{j}" for j in range(n)]]
+            else:
+                move_lists = [[f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]]
+            doc = {"type": "simultaneous", "players": ["Row", "Col"], "moves": move_lists}
+        vectors = [
+            [rng.randint(-2, 2) for _ in range(n_players)] for _ in range(rng.randint(1, 4))
+        ]
+        plays = list(itertools.product(*move_lists))
+        doc["payoffs"] = {",".join(play): list(rng.choice(vectors)) for play in plays}
+        docs.append((doc, plays))
+    return docs
+
+
+def _assert_every_cell_round_trips(parse) -> None:
+    """``parse`` reads back the document's vector at every play of every
+    seeded valid document, and its games solve like the oracles."""
+    for doc, plays in _valid_game_docs():
+        game = parse(doc)
+        expected = {play: tuple(doc["payoffs"][",".join(play)]) for play in plays}
+        if doc["type"] == "sequential":
+            assert {play: game.payoff(play) for play in plays} == expected, doc
+            assert backward_induction(game) == backward_induction_oracle(game), doc
+        else:
+            assert {play: game.payoff(*play) for play in plays} == expected, doc
+            assert simultaneous_equilibria(game) == nash_oracle(game), doc
 
 
 def _truth_table(formula, arity: int) -> tuple[bool, ...]:
@@ -416,6 +482,30 @@ class TestParseGame:
         with pytest.raises(GameFileError, match="two players"):
             parse_game(doc)
 
+    def test_every_cell_of_seeded_documents_round_trips(self):
+        _assert_every_cell_round_trips(parse_game)
+
+    def test_a_transposed_simultaneous_table_is_caught(self):
+        transposed = source_mutant(
+            parse_game,
+            ("{x: {} for x in row_moves}", "{y: {} for y in col_moves}"),
+            ("rows[x][y] = utilities", "rows[y][x] = utilities"),
+        )
+        # A square game with shared move names reads a wrong cell; any
+        # other game reads a move its row dict lacks.
+        with pytest.raises((AssertionError, KeyError)):
+            _assert_every_cell_round_trips(transposed)
+
+    def test_equal_vectors_are_one_object(self):
+        for doc, plays in _valid_game_docs():
+            game = parse_game(doc)
+            if doc["type"] == "sequential":
+                returned = [game.payoff(play) for play in plays]
+            else:
+                returned = [game.payoff(*play) for play in plays]
+            distinct = set(map(tuple, doc["payoffs"].values()))
+            assert len(set(map(id, returned))) == len(distinct), doc
+
     @pytest.mark.parametrize("kind", ["sequential", "simultaneous"])
     def test_plays_that_share_a_key_are_rejected(self, kind):
         _assert_shared_keys_are_rejected(cli._parse_payoff_table, kind)
@@ -580,6 +670,13 @@ class TestBulkPayoffCheck:
         table = _parse_outcome(doc, cli._parse_payoff_table)
         assert table == _parse_outcome(doc, _reference_payoff_table)
         assert type(dict(table)[("L", "r")][0]) is _Vote
+        # An earlier plain vector equal to the IntEnum one: each play keeps
+        # its own element types.
+        doc["payoffs"]["L,l"] = [1, 0]
+        table = dict(_parse_outcome(doc, cli._parse_payoff_table))
+        assert table == dict(_parse_outcome(doc, _reference_payoff_table))
+        assert [type(u) for u in table[("L", "l")]] == [int, int]
+        assert [type(u) for u in table[("L", "r")]] == [_Vote, int]
 
     @pytest.mark.parametrize(
         "old, new",
