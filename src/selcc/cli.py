@@ -71,11 +71,11 @@ MAX_DEMO_SAT_VARS = 20
 # How deep ``parse_formula`` lets "(" and "!" nest, and "!", "&" and "|"
 # operators (a flat chain of 201 terms is 200 deep).  Evaluation runs one
 # compiled function and does not recurse, so the limit guards the two steps
-# that still do.  The parser recurses through four frames per parenthesis and
-# one per "!" (measured in-process through ``main`` at --vars 2 with the limit
-# lifted, Python 3.11: 247 nested parentheses still parse, 248 do not).
-# Building the function and compiling it, at the end of ``parse_formula``,
-# each recurse once per nested node.
+# that still do.  The parser, which builds the formula's ``ast`` as it reads,
+# recurses through four frames per parenthesis and one per "!" (measured
+# in-process through ``main`` at --vars 2 with the limit lifted, Python 3.11:
+# 247 nested parentheses still parse, 248 do not).  After parsing, only
+# CPython's compiler recurses, once per nested node.
 MAX_FORMULA_DEPTH = 200
 
 # The most cases ``laws`` draws per seeded sweep (``--samples``).  The twelve
@@ -94,10 +94,6 @@ MAX_LAW_SAMPLES = 100_000
 #   not  := "!" not | atom
 #   atom := decimal-index | "(" or ")"
 # ---------------------------------------------------------------------------
-
-# A parsed formula: a variable index, ("!", node), or an n-ary ("&", node, ...)
-# or ("|", node, ...) over at least two nodes.
-_Node = int | tuple
 
 
 def _lex(src: str) -> list[tuple[str, str, int]]:
@@ -130,11 +126,6 @@ def _lex(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _chain(op: str, terms: list[_Node]) -> _Node:
-    """``terms`` joined by ``op``: one n-ary node, or the term itself when alone."""
-    return terms[0] if len(terms) == 1 else (op, *terms)
-
-
 # Every node gets a source location, so the tree needs no
 # ``ast.fix_missing_locations`` walk before it compiles.
 _AT = {"lineno": 1, "col_offset": 0}
@@ -142,43 +133,28 @@ _BOOL_OPS = {"&": ast.And(), "|": ast.Or()}
 _NOT = ast.Not()
 
 
-def _compile(tree: _Node, arity: int) -> Callable[[Sequence[bool]], bool]:
-    """Compile ``tree`` into one function of an assignment ``b`` of ``arity``
-    values: ``def formula(b): x0, x1, ... = b; return True if ... else False``.
+def _compile(test: ast.expr, arity: int) -> Callable[[Sequence[bool]], bool]:
+    """Compile ``test``, an expression over the names ``x0``, ``x1``, ...,
+    into one function of an assignment ``b`` of ``arity`` values:
+    ``def formula(b): x0, x1, ... = b; return True if <test> else False``.
 
-    The conditional expression puts the whole ``&``/``|``/``!`` tree in test
-    context, where CPython compiles it to conditional jumps on the locals:
-    no ``not`` is computed, no name is looked up and no builtin is called,
-    and every evaluation still returns exactly ``True`` or ``False``.
+    The conditional expression puts the whole ``and``/``or``/``not`` test in
+    test context, where CPython compiles it to conditional jumps on the
+    locals: no ``not`` is computed, no name is looked up and no builtin is
+    called, and every evaluation still returns exactly ``True`` or ``False``.
 
     Unpacking ``b`` into one local name per variable keeps the compiled
     expression at one node per variable occurrence, where ``b[i]`` takes three;
     CPython's compiler costs about the same per node, so this form compiles in
     about 40% less time and evaluates as fast.  The function is built as an
     ``ast``, not as source text, so the tokenizer's limit of 200 nested
-    brackets never applies; the tree holds only validated indices and three
+    brackets never applies; ``test`` holds only validated variables and three
     operators, so no user text reaches the compiler.
     """
     load, store = ast.Load(), ast.Store()
-    # One shared node per variable and per negated variable.
-    variables = [ast.Name(f"x{i}", load, **_AT) for i in range(arity)]
-    negations = [ast.UnaryOp(_NOT, variable, **_AT) for variable in variables]
-
-    def build(node: _Node) -> ast.expr:
-        if isinstance(node, int):
-            return variables[node]
-        if node[0] == "!":
-            inner = node[1]
-            if isinstance(inner, int):
-                return negations[inner]
-            return ast.UnaryOp(_NOT, build(inner), **_AT)
-        return ast.BoolOp(_BOOL_OPS[node[0]], list(map(build, node[1:])), **_AT)
-
     targets = [ast.Name(f"x{i}", store, **_AT) for i in range(arity)]
     unpack = ast.Assign([ast.Tuple(targets, store, **_AT)], ast.Name("b", load, **_AT), **_AT)
-    result = ast.IfExp(
-        build(tree), ast.Constant(True, **_AT), ast.Constant(False, **_AT), **_AT
-    )
+    result = ast.IfExp(test, ast.Constant(True, **_AT), ast.Constant(False, **_AT), **_AT)
     params = ast.arguments(
         posonlyargs=[], args=[ast.arg("b", **_AT)], kwonlyargs=[], kw_defaults=[], defaults=[]
     )
@@ -200,9 +176,11 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
     indices, syntax errors and nesting deeper than :data:`MAX_FORMULA_DEPTH`
     levels raise :class:`FormulaParseError` naming the offending position.
 
-    Parsing builds a light tree, with each flat chain of one operator as one
-    n-ary node, and compiles it into one Python function that returns
-    ``True if <test> else False`` (see :func:`_compile`), so an evaluation is
+    The parser builds the formula as a Python ``ast`` expression as it
+    reads it: each variable is one shared ``Name``, ``!`` of a variable one
+    shared ``UnaryOp``, and each flat chain of one operator one n-ary
+    ``BoolOp``.  :func:`_compile` wraps that expression into one Python
+    function that returns ``True if <test> else False``, so an evaluation is
     one call that runs conditional jumps and returns exactly ``True`` or
     ``False``.  That function takes an assignment of exactly ``arity`` values.
     """
@@ -210,6 +188,9 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
     pos = 0
     # An index with more digits than ``arity`` is out of range, however long.
     arity_digits = len(str(arity))
+    load = ast.Load()
+    variables = [ast.Name(f"x{i}", load, **_AT) for i in range(arity)]
+    negations = {variable: ast.UnaryOp(_NOT, variable, **_AT) for variable in variables}
 
     def take() -> tuple[str, str, int]:
         nonlocal pos
@@ -225,11 +206,11 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
         )
 
     # ``level`` counts the "(" and "!" being parsed, which the parser recurses
-    # through.  Each function returns a node and its depth, the nesting of its
-    # "!", "&" and "|" operators read as binary, left-associative ones.
+    # through.  Each function returns an expression and its depth, the nesting
+    # of its "!", "&" and "|" operators read as binary, left-associative ones.
     # ``parse_chain(level, ops)`` parses a chain of ``ops[0]`` over chains of
     # the tighter ``ops[1:]``, and over ``parse_not`` once no operator is left.
-    def parse_chain(level: int, ops: str = "|&") -> tuple[_Node, int]:
+    def parse_chain(level: int, ops: str = "|&") -> tuple[ast.expr, int]:
         nonlocal pos
         op, tighter = ops[0], ops[1:]
         node, depth = parse_chain(level, tighter) if tighter else parse_not(level)
@@ -243,9 +224,9 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
             if depth > MAX_FORMULA_DEPTH:
                 raise too_deep(token[2])
             terms.append(right)
-        return _chain(op, terms), depth
+        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT), depth
 
-    def parse_not(level: int) -> tuple[_Node, int]:
+    def parse_not(level: int) -> tuple[ast.expr, int]:
         nonlocal pos
         if (token := tokens[pos])[0] == "!":
             pos += 1
@@ -254,17 +235,17 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
             inner, depth = parse_not(level + 1)
             if depth >= MAX_FORMULA_DEPTH:
                 raise too_deep(token[2])
-            return ("!", inner), depth + 1
+            return negations.get(inner) or ast.UnaryOp(_NOT, inner, **_AT), depth + 1
         return parse_atom(level)
 
-    def parse_atom(level: int) -> tuple[_Node, int]:
+    def parse_atom(level: int) -> tuple[ast.expr, int]:
         kind, text, at = take()
         if kind == "index":
             if len(text) > arity_digits or int(text) >= arity:
                 raise FormulaParseError(
                     f"variable index {text} out of range for arity {arity} at position {at}"
                 )
-            return int(text), 0
+            return variables[int(text)], 0
         if kind == "(":
             if level >= MAX_FORMULA_DEPTH:
                 raise too_deep(at)
@@ -275,11 +256,11 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
             return node
         raise FormulaParseError(f"unexpected token {kind!r} at position {at}")
 
-    tree, _ = parse_chain(0)
+    test, _ = parse_chain(0)
     if (token := tokens[pos])[0] != "end":
         raise FormulaParseError(f"unexpected token {token[0]!r} at position {token[2]}")
 
-    return BooleanFormula(arity, _compile(tree, arity))
+    return BooleanFormula(arity, _compile(test, arity))
 
 
 # ---------------------------------------------------------------------------

@@ -336,22 +336,22 @@ def _random_chain(rng: random.Random, arity: int, depth: int = 0) -> str:
 # to conditional jumps, with no name to look up (``bool(...)`` has one).  Both
 # references return a bool, so each ``is`` also asserts that an evaluation
 # returns exactly True or False, whatever values the assignment holds.
-def _assert_cnfs_agree_with_clause_evaluation(values=(False, True)) -> None:
+def _assert_cnfs_agree_with_clause_evaluation(values=(False, True), parse=parse_formula) -> None:
     rng = random.Random(8)
     for n in range(8, 13):
         for _ in range(2):
             clauses = _random_cnf(rng, n)
-            formula = parse_formula(_cnf_text(clauses), n)
+            formula = parse(_cnf_text(clauses), n)
             assert formula.evaluate.__code__.co_names == ()
             for bits in itertools.product(values, repeat=n):
                 assert formula.evaluate(bits) is _cnf_holds(clauses, bits), (n, bits)
 
 
-def _assert_chains_agree_with_python(values=(False, True)) -> None:
+def _assert_chains_agree_with_python(values=(False, True), parse=parse_formula) -> None:
     rng = random.Random(5)
     texts = _MIXED_CHAINS + [_random_chain(rng, 5) for _ in range(200)]
     for text in texts:
-        formula, reference = parse_formula(text, 5), _python_reference(text)
+        formula, reference = parse(text, 5), _python_reference(text)
         assert formula.evaluate.__code__.co_names == ()
         for bits in itertools.product(values, repeat=5):
             assert formula.evaluate(bits) is reference(bits), (text, bits)
@@ -369,22 +369,23 @@ class TestCompiledFormula:
         _assert_cnfs_agree_with_clause_evaluation((0, 1))
         _assert_chains_agree_with_python((0, 1))
 
-    def test_a_broken_merge_is_caught(self, monkeypatch):
-        chain = cli._chain
-
-        def folds_into_left_group(op, terms):
-            # Appends the terms after a parenthesised group to that group,
-            # whatever its operator: "(0|1)&2" becomes "0|1|2".
-            first = terms[0]
-            if len(terms) > 1 and isinstance(first, tuple) and first[0] != "!":
-                return first + tuple(terms[1:])
-            return chain(op, terms)
-
-        monkeypatch.setattr(cli, "_chain", folds_into_left_group)
+    def test_a_broken_merge_is_caught(self):
+        # Appends the terms after a parenthesised group to that group,
+        # whatever its operator: "(0|1)&2" becomes "0|1|2".
+        folds_into_left_group = source_mutant(
+            parse_formula,
+            (
+                "return ast.BoolOp(_BOOL_OPS[op], terms, **_AT), depth",
+                "if isinstance(node, ast.BoolOp):\n"
+                "            node.values += terms[1:]\n"
+                "            return node, depth\n"
+                "        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT), depth",
+            ),
+        )
         with pytest.raises(AssertionError):
-            _assert_cnfs_agree_with_clause_evaluation()
+            _assert_cnfs_agree_with_clause_evaluation(parse=folds_into_left_group)
         with pytest.raises(AssertionError):
-            _assert_chains_agree_with_python()
+            _assert_chains_agree_with_python(parse=folds_into_left_group)
 
     def test_evaluation_takes_exactly_arity_values(self):
         formula = parse_formula("0|!1", 3)
@@ -392,6 +393,85 @@ class TestCompiledFormula:
         for bits in [(True,), (True, False), (True, False, False, False)]:
             with pytest.raises(ValueError):
                 formula.evaluate(bits)
+
+
+def _random_formula_source(rng: random.Random, arity: int) -> str:
+    """A string over ``0-9 ! & | ( )``, space and a stray ``$``: one in eight
+    is random characters; the rest are mixed chains over indices up to
+    ``arity``, one in ten nested or chained about 200 deep, with up to three
+    random characters inserted, deleted or replaced."""
+    chars = "0123456789!&|() $"
+    if rng.random() < 0.125:
+        return "".join(rng.choices(chars, k=rng.randint(0, 8)))
+    text = _random_chain(rng, arity)
+    if rng.random() < 0.1:
+        d = rng.randint(197, 203)
+        text = rng.choice(
+            [
+                "(" * d + text + ")" * d,
+                "!" * d + text,
+                rng.choice("&|").join(str(rng.randrange(arity)) for _ in range(d)),
+            ]
+        )
+    for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+        at = rng.randint(0, len(text))
+        edit = rng.randrange(3)
+        text = text[:at] + (rng.choice(chars) if edit else "") + text[at + (edit != 1) :]
+    return text
+
+
+# 2,000 parses: each outcome is the error's message or the truth table.
+_PARSE_OUTCOMES_SHA256 = "ef93136c93647dd0d3d1ef2db67696363978059a0191c9bdae4f4dad11b57821"
+
+
+def _parse_outcomes(parse=parse_formula) -> tuple[str, Counter]:
+    """The sha256 of ``parse``'s outcome on 2,000 seeded strings at arities
+    1-12, and how often each outcome kind (an error's first two words, or
+    "table") came up."""
+    rng = random.Random(11)
+    digest, kinds = hashlib.sha256(), Counter()
+    for _ in range(2000):
+        arity = rng.randint(1, 12)
+        src = _random_formula_source(rng, arity)
+        try:
+            formula = parse(src, arity)
+        except FormulaParseError as exc:
+            outcome = f"error: {exc}"
+            kinds[" ".join(str(exc).split()[:2])] += 1
+        else:
+            outcome = "".join("01"[value] for value in _truth_table(formula, arity))
+            kinds["table"] += 1
+        digest.update(f"{arity} {src!r} {outcome}\n".encode())
+    return digest.hexdigest(), kinds
+
+
+class TestParseOutcomes:
+    def test_every_outcome_is_pinned(self):
+        digest, kinds = _parse_outcomes()
+        assert digest == _PARSE_OUTCOMES_SHA256
+        assert kinds.keys() == {
+            "table",
+            "unexpected character",
+            "unexpected end",
+            "unexpected token",
+            "expected ')'",
+            "variable index",
+            "formula nests",
+        }, kinds
+        assert kinds["table"] > 500 and kinds.total() - kinds["table"] > 500, kinds
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('ops: str = "|&"', 'ops: str = "&|"'),
+            ("at position {closing[2]}", "at position {closing[2] + 1}"),
+            ("raise too_deep(token[2])", "raise too_deep(token[2] - 1)"),
+        ],
+        ids=["swapped precedence", "shifted parenthesis error", "shifted depth error"],
+    )
+    def test_a_changed_outcome_is_caught(self, old, new):
+        digest, _ = _parse_outcomes(source_mutant(parse_formula, (old, new)))
+        assert digest != _PARSE_OUTCOMES_SHA256
 
 
 class TestParseGame:

@@ -21,6 +21,7 @@ drivers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import os
@@ -1295,9 +1296,11 @@ class TestGameSuites:
         assert (exhaustive.failures, randomized.failures) == failures
 
 
+@functools.cache
 def _nine_suites(seed, samples):
-    """The nine suites called one after another, in ``selcc laws`` order."""
-    return [
+    """The nine suites called one after another, in ``selcc laws`` order,
+    once per ``(seed, samples)``: the tests that call it patch no suite."""
+    return (
         *effect_law_reports(seed),
         *selection_monad_reports(),
         *quantifier_monad_reports(),
@@ -1307,7 +1310,7 @@ def _nine_suites(seed, samples):
         sat_correctness_report(),
         *backward_induction_reports(seed, samples),
         sum_equilibria_report(),
-    ]
+    )
 
 
 def _assert_no_child_left():
@@ -1328,13 +1331,13 @@ class TestRunAll:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_equals_the_nine_suites_in_order(self, seed):
-        expected = _nine_suites(seed, 50)
+        expected = list(_nine_suites(seed, 50))
         assert len(expected) == 29
         assert run_all(seed, 50) == expected
         _assert_no_child_left()
 
     def test_serial_path_gives_the_same_reports(self, monkeypatch):
-        expected = _nine_suites(3, 50)
+        expected = list(_nine_suites(3, 50))
         monkeypatch.delattr(os, "fork")
         assert run_all(3, 50) == expected
 
