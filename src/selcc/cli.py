@@ -6,7 +6,8 @@ Subcommands:
   log one line per entry, then the numeric result on its own line;
 * ``demo-sat --vars N --formula S`` — run the instrumented SAT search and
   print its trace, then the final assignment (at most
-  :data:`MAX_DEMO_SAT_VARS` variables and :data:`MAX_FORMULA_DEPTH` levels);
+  :data:`MAX_DEMO_SAT_VARS` variables, and "(" and "!" nested at most
+  :data:`MAX_FORMULA_DEPTH` deep; a flat "&" or "|" chain may be any length);
 * ``solve FILE`` — solve a JSON game file (sequential games by backward
   induction, simultaneous games by the sum of argmax players);
 * ``laws [--seed N] [--samples K]`` — run every law suite and report
@@ -68,14 +69,15 @@ MAX_SEQUENTIAL_STAGES = 100
 # and their concatenation.
 MAX_DEMO_SAT_VARS = 20
 
-# How deep ``parse_formula`` lets "(" and "!" nest, and "!", "&" and "|"
-# operators (a flat chain of 201 terms is 200 deep).  Evaluation runs one
+# How deep ``parse_formula`` lets "(" and "!" nest.  Evaluation runs one
 # compiled function and does not recurse, so the limit guards the two steps
 # that still do.  The parser, which builds the formula's ``ast`` as it reads,
 # recurses through four frames per parenthesis and one per "!" (measured
 # in-process through ``main`` at --vars 2 with the limit lifted, Python 3.11:
 # 247 nested parentheses still parse, 248 do not).  After parsing, only
-# CPython's compiler recurses, once per nested node.
+# CPython's compiler recurses, once per nested node.  A flat "&" or "|" chain
+# of any length is one n-ary node, which the compiler loops over, so the tree
+# nests at most two ``BoolOp`` nodes per "(" and one ``UnaryOp`` per "!".
 MAX_FORMULA_DEPTH = 200
 
 # The most cases ``laws`` draws per seeded sweep (``--samples``).  The twelve
@@ -173,8 +175,10 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
 
     Variables are decimal indices in ASCII digits; ``!`` binds tighter than
     ``&``, which binds tighter than ``|``; parentheses group.  Out-of-range
-    indices, syntax errors and nesting deeper than :data:`MAX_FORMULA_DEPTH`
-    levels raise :class:`FormulaParseError` naming the offending position.
+    indices, syntax errors and "(" or "!" nested deeper than
+    :data:`MAX_FORMULA_DEPTH` levels raise :class:`FormulaParseError` naming
+    the offending position.  A flat ``&`` or ``|`` chain may have any number
+    of terms.
 
     The parser builds the formula as a Python ``ast`` expression as it
     reads it: each variable is one shared ``Name``, ``!`` of a variable one
@@ -206,46 +210,37 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
         )
 
     # ``level`` counts the "(" and "!" being parsed, which the parser recurses
-    # through.  Each function returns an expression and its depth, the nesting
-    # of its "!", "&" and "|" operators read as binary, left-associative ones.
-    # ``parse_chain(level, ops)`` parses a chain of ``ops[0]`` over chains of
-    # the tighter ``ops[1:]``, and over ``parse_not`` once no operator is left.
-    def parse_chain(level: int, ops: str = "|&") -> tuple[ast.expr, int]:
+    # through; a flat chain of any length adds no level (see
+    # ``MAX_FORMULA_DEPTH``).  ``parse_chain(level, ops)`` parses a chain of
+    # ``ops[0]`` over chains of the tighter ``ops[1:]``, and over
+    # ``parse_not`` once no operator is left.
+    def parse_chain(level: int, ops: str = "|&") -> ast.expr:
         nonlocal pos
         op, tighter = ops[0], ops[1:]
-        node, depth = parse_chain(level, tighter) if tighter else parse_not(level)
-        if tokens[pos][0] != op:
-            return node, depth
-        terms = [node]
-        while (token := tokens[pos])[0] == op:
+        terms = [parse_chain(level, tighter) if tighter else parse_not(level)]
+        while tokens[pos][0] == op:
             pos += 1
-            right, right_depth = parse_chain(level, tighter) if tighter else parse_not(level)
-            depth = (depth if depth > right_depth else right_depth) + 1
-            if depth > MAX_FORMULA_DEPTH:
-                raise too_deep(token[2])
-            terms.append(right)
-        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT), depth
+            terms.append(parse_chain(level, tighter) if tighter else parse_not(level))
+        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT) if len(terms) > 1 else terms[0]
 
-    def parse_not(level: int) -> tuple[ast.expr, int]:
+    def parse_not(level: int) -> ast.expr:
         nonlocal pos
         if (token := tokens[pos])[0] == "!":
             pos += 1
             if level >= MAX_FORMULA_DEPTH:
                 raise too_deep(token[2])
-            inner, depth = parse_not(level + 1)
-            if depth >= MAX_FORMULA_DEPTH:
-                raise too_deep(token[2])
-            return negations.get(inner) or ast.UnaryOp(_NOT, inner, **_AT), depth + 1
+            inner = parse_not(level + 1)
+            return negations.get(inner) or ast.UnaryOp(_NOT, inner, **_AT)
         return parse_atom(level)
 
-    def parse_atom(level: int) -> tuple[ast.expr, int]:
+    def parse_atom(level: int) -> ast.expr:
         kind, text, at = take()
         if kind == "index":
             if len(text) > arity_digits or int(text) >= arity:
                 raise FormulaParseError(
                     f"variable index {text} out of range for arity {arity} at position {at}"
                 )
-            return variables[int(text)], 0
+            return variables[int(text)]
         if kind == "(":
             if level >= MAX_FORMULA_DEPTH:
                 raise too_deep(at)
@@ -256,7 +251,7 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
             return node
         raise FormulaParseError(f"unexpected token {kind!r} at position {at}")
 
-    test, _ = parse_chain(0)
+    test = parse_chain(0)
     if (token := tokens[pos])[0] != "end":
         raise FormulaParseError(f"unexpected token {token[0]!r} at position {token[2]}")
 

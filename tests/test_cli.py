@@ -34,6 +34,7 @@ from selcc import (
     parse_formula,
     parse_game,
     sat_callcc,
+    sat_oracle,
     sat_product,
     simultaneous_equilibria,
 )
@@ -275,11 +276,12 @@ class TestParseFormula:
         assert f"position {position}" in str(excinfo.value)
 
 
-def _random_cnf(rng: random.Random, n: int) -> list[tuple[int, ...]]:
-    """A 3-CNF at clause/variable ratio 4.26; literal ``v + 1`` or ``-(v + 1)``."""
+def _random_cnf(rng: random.Random, n: int, m: int | None = None) -> list[tuple[int, ...]]:
+    """A 3-CNF of ``m`` clauses, by default at clause/variable ratio 4.26;
+    literal ``v + 1`` or ``-(v + 1)``."""
     return [
         tuple(v + 1 if rng.random() < 0.5 else -(v + 1) for v in rng.sample(range(n), 3))
-        for _ in range(round(4.26 * n))
+        for _ in range(round(4.26 * n) if m is None else m)
     ]
 
 
@@ -292,6 +294,17 @@ def _cnf_text(clauses: list[tuple[int, ...]]) -> str:
 
 def _cnf_holds(clauses: list[tuple[int, ...]], bits: tuple[bool, ...]) -> bool:
     return all(any(bits[abs(l) - 1] == (l > 0) for l in clause) for clause in clauses)
+
+
+def _planted_cnf(
+    rng: random.Random, n: int, m: int, witness: tuple[bool, ...]
+) -> list[tuple[int, ...]]:
+    """:func:`_random_cnf`'s clauses, each that ``witness`` falsifies with its
+    first literal negated, so ``witness`` satisfies them all."""
+    return [
+        clause if _cnf_holds([clause], witness) else (-clause[0],) + clause[1:]
+        for clause in _random_cnf(rng, n, m)
+    ]
 
 
 def _python_reference(text: str):
@@ -375,17 +388,32 @@ class TestCompiledFormula:
         folds_into_left_group = source_mutant(
             parse_formula,
             (
-                "return ast.BoolOp(_BOOL_OPS[op], terms, **_AT), depth",
-                "if isinstance(node, ast.BoolOp):\n"
-                "            node.values += terms[1:]\n"
-                "            return node, depth\n"
-                "        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT), depth",
+                "return ast.BoolOp(_BOOL_OPS[op], terms, **_AT) if len(terms) > 1 else terms[0]",
+                "if isinstance(terms[0], ast.BoolOp):\n"
+                "            terms[0].values += terms[1:]\n"
+                "            return terms[0]\n"
+                "        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT) if len(terms) > 1 else terms[0]",
             ),
         )
         with pytest.raises(AssertionError):
             _assert_cnfs_agree_with_clause_evaluation(parse=folds_into_left_group)
         with pytest.raises(AssertionError):
             _assert_chains_agree_with_python(parse=folds_into_left_group)
+
+    def test_a_cnf_of_426_clauses_over_100_variables_agrees_with_a_clause_evaluator(self):
+        # A flat "&" chain of any length is one node, however many clauses.
+        rng = random.Random(19)
+        witness = tuple(rng.random() < 0.5 for _ in range(100))
+        clauses = _planted_cnf(rng, 100, 426, witness)
+        formula = parse_formula(_cnf_text(clauses), 100)
+        flips = [witness[:i] + (not witness[i],) + witness[i + 1 :] for i in range(100)]
+        draws = [tuple(rng.random() < 0.5 for _ in range(100)) for _ in range(100)]
+        outcomes = set()
+        for bits in [witness] + flips + draws:
+            outcome = formula.evaluate(bits)
+            assert outcome is _cnf_holds(clauses, bits), bits
+            outcomes.add(outcome)
+        assert outcomes == {False, True}
 
     def test_evaluation_takes_exactly_arity_values(self):
         formula = parse_formula("0|!1", 3)
@@ -421,7 +449,7 @@ def _random_formula_source(rng: random.Random, arity: int) -> str:
 
 
 # 2,000 parses: each outcome is the error's message or the truth table.
-_PARSE_OUTCOMES_SHA256 = "ef93136c93647dd0d3d1ef2db67696363978059a0191c9bdae4f4dad11b57821"
+_PARSE_OUTCOMES_SHA256 = "f336db56faa21309addc96d45dfbc78ba36ab8955723730edecbeefb6bae49a4"
 
 
 def _parse_outcomes(parse=parse_formula) -> tuple[str, Counter]:
@@ -947,8 +975,9 @@ class TestDemoCommands:
         [
             ("(" * 2000 + "0" + ")" * 2000, 200),
             ("!" * 5000 + "0", 200),
-            ("|".join(["0"] * 5000), 401),
-            ("&".join(["0"] * 5000), 401),
+            # The 201st "(" of a chain nested through parentheses.
+            ("0|(" * 201 + "0" + ")" * 201, 602),
+            ("0&(" * 201 + "0" + ")" * 201, 602),
         ],
         ids=["parentheses", "negations", "or-chain", "and-chain"],
     )
@@ -960,6 +989,12 @@ class TestDemoCommands:
         assert captured.err == (
             f"error: formula nests deeper than 200 levels at position {position}\n"
         )
+
+    @pytest.mark.parametrize("op", "|&", ids=["or-chain", "and-chain"])
+    def test_sat_demo_accepts_flat_chains_of_any_length(self, capsys, op):
+        # A flat chain is one n-ary node, so its length is not a depth.
+        assert main(["demo-sat", "--vars", "1", "--formula", op.join(["0"] * 5000)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "[True]"
 
     def test_sat_demo_accepts_a_formula_at_the_depth_limit(self, capsys):
         # Parentheses take the most parser frames per level.
@@ -979,14 +1014,30 @@ class TestDemoCommands:
             )
             + "11"
             + ")" * MAX_FORMULA_DEPTH,
+            # Two BoolOps per parenthesis, 400 nested: the compiler's worst case.
+            "0|0&(" * MAX_FORMULA_DEPTH + "0" + ")" * MAX_FORMULA_DEPTH,
         ],
-        ids=["negations", "or-chain", "and-chain", "mixed-nesting"],
+        ids=["negations", "or-chain", "and-chain", "mixed-nesting", "two-boolops-per-level"],
     )
     def test_sat_demo_runs_the_deepest_formulas_at_twelve_variables(self, capsys, formula):
         # demo-sat compiles the formula as it parses it, before the search.
         assert main(["demo-sat", "--vars", "12", "--formula", formula]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == format_assignment(sat_product(parse_formula(formula, 12)))
+
+    @pytest.mark.parametrize("satisfiable", [True, False], ids=["planted", "random"])
+    def test_sat_demo_solves_a_cnf_of_300_clauses(self, capsys, satisfiable):
+        # 300 clauses over 12 variables: a random CNF this dense is unsatisfiable.
+        rng = random.Random(23)
+        witness = tuple(rng.random() < 0.5 for _ in range(12))
+        clauses = _planted_cnf(rng, 12, 300, witness) if satisfiable else _random_cnf(rng, 12, 300)
+        text = _cnf_text(clauses)
+        assert main(["demo-sat", "--vars", "12", "--formula", text]) == 0
+        formula = parse_formula(text, 12)
+        answer = sat_product(formula)
+        assert capsys.readouterr().out.splitlines()[-1] == format_assignment(answer)
+        assert (sat_oracle(formula) is not None) is satisfiable
+        assert formula.evaluate(answer) is satisfiable
 
 
 class TestSolveCommand:
