@@ -13,6 +13,10 @@ Subcommands:
 * ``laws [--seed N] [--samples K]`` — run every law suite and report
   pass/fail counts (at most :data:`MAX_LAW_SAMPLES` samples).
 
+Each command loads only the submodules it runs: ``demo-sat`` the search,
+``solve`` the games, ``demo-callcc`` the dialogues and ``laws`` the law
+suites.
+
 Exit codes: 0 success, 1 law failures, 2 usage/validation errors.
 """
 from __future__ import annotations
@@ -24,19 +28,11 @@ import itertools
 import json
 import math
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from .callcc import demo_bar, demo_foo
-from .games import (
-    SequentialGameSpec,
-    SimultaneousGameSpec,
-    Stage,
-    _repeated_index,
-    _validate_sequential,
-    backward_induction,
-    simultaneous_equilibria,
-)
-from .search import BooleanFormula, _sat_callcc_outcome, format_assignment
+if TYPE_CHECKING:
+    from .games import SequentialGameSpec, SimultaneousGameSpec
+    from .search import BooleanFormula
 
 
 class _UsageError(ValueError):
@@ -70,14 +66,14 @@ MAX_SEQUENTIAL_STAGES = 100
 MAX_DEMO_SAT_VARS = 20
 
 # How deep ``parse_formula`` lets "(" and "!" nest.  Evaluation runs one
-# compiled function and does not recurse, so the limit guards the two steps
-# that still do.  The parser, which builds the formula's ``ast`` as it reads,
-# recurses through four frames per parenthesis and one per "!" (measured
-# in-process through ``main`` at --vars 2 with the limit lifted, Python 3.11:
-# 247 nested parentheses still parse, 248 do not).  After parsing, only
-# CPython's compiler recurses, once per nested node.  A flat "&" or "|" chain
-# of any length is one n-ary node, which the compiler loops over, so the tree
-# nests at most two ``BoolOp`` nodes per "(" and one ``UnaryOp`` per "!".
+# compiled function and the parser reads in one loop, so only CPython's
+# compiler recurses, once per nested node.  A flat "&" or "|" chain of any
+# length is one n-ary node, which the compiler loops over, so the tree nests
+# at most two ``BoolOp`` nodes per "(" and one ``UnaryOp`` per "!".  With the
+# limit lifted, ``main`` at --vars 2 compiles "0|0&(" nested 494 deep and
+# fails at 495 on Python 3.10 and 3.11 (746/747 on 3.12, 4,996/4,997 on
+# 3.13).  On 3.10 and 3.11 the compiler's budget shrinks with the caller's
+# stack: called 500 frames deep, 200 levels still compile and 400 do not.
 MAX_FORMULA_DEPTH = 200
 
 # The most cases ``laws`` draws per seeded sweep (``--samples``).  The twelve
@@ -97,42 +93,17 @@ MAX_LAW_SAMPLES = 100_000
 #   atom := decimal-index | "(" or ")"
 # ---------------------------------------------------------------------------
 
-
-def _lex(src: str) -> list[tuple[str, str, int]]:
-    """``src`` as (kind, text, position) tokens, closed by an "end" token.
-
-    Only the ASCII digits ``0``-``9`` form an index (``str.isdigit`` also
-    accepts "²" and "٢").  An index's text drops its leading zeros and stays
-    text, since ``int`` refuses runs of more than 4,300 digits.
-    """
-    tokens: list[tuple[str, str, int]] = []
-    append = tokens.append
-    n = len(src)
-    i = 0
-    while i < n:
-        ch = src[i]
-        if ch in "!&|()":
-            append((ch, ch, i))
-            i += 1
-        elif ch in "0123456789":
-            start = i
-            i += 1
-            while i < n and src[i] in "0123456789":
-                i += 1
-            append(("index", src[start:i].lstrip("0") or "0", start))
-        elif ch.isspace():
-            i += 1
-        else:
-            raise FormulaParseError(f"unexpected character {ch!r} at position {i}")
-    append(("end", "", n))
-    return tokens
-
-
 # Every node gets a source location, so the tree needs no
 # ``ast.fix_missing_locations`` walk before it compiles.
 _AT = {"lineno": 1, "col_offset": 0}
-_BOOL_OPS = {"&": ast.And(), "|": ast.Or()}
-_NOT = ast.Not()
+_AND, _OR, _NOT = ast.And(), ast.Or(), ast.Not()
+# Deletes every character that may form a token; whitespace is the rest.
+_DROP_TOKENS = str.maketrans("", "", "0123456789!&|()")
+
+
+def _chain(op: ast.boolop, terms: list[ast.expr]) -> ast.expr:
+    """One n-ary ``op`` node over a flat chain's ``terms``; a lone term as it is."""
+    return ast.BoolOp(op, terms, **_AT) if len(terms) > 1 else terms[0]
 
 
 def _compile(test: ast.expr, arity: int) -> Callable[[Sequence[bool]], bool]:
@@ -180,81 +151,96 @@ def parse_formula(src: str, arity: int) -> BooleanFormula:
     the offending position.  A flat ``&`` or ``|`` chain may have any number
     of terms.
 
-    The parser builds the formula as a Python ``ast`` expression as it
-    reads it: each variable is one shared ``Name``, ``!`` of a variable one
-    shared ``UnaryOp``, and each flat chain of one operator one n-ary
-    ``BoolOp``.  :func:`_compile` wraps that expression into one Python
+    After one check that every character belongs to a token or is
+    whitespace, one loop over the characters of ``src`` builds the formula
+    as a Python ``ast`` expression, without recursion: a stack holds the
+    open "(" groups, each variable is one shared ``Name``, ``!`` of a
+    variable one shared ``UnaryOp``, and each flat chain of one operator one
+    n-ary ``BoolOp``.  :func:`_compile` wraps that expression into one Python
     function that returns ``True if <test> else False``, so an evaluation is
     one call that runs conditional jumps and returns exactly ``True`` or
     ``False``.  That function takes an assignment of exactly ``arity`` values.
     """
-    tokens = _lex(src)
-    pos = 0
-    # An index with more digits than ``arity`` is out of range, however long.
-    arity_digits = len(str(arity))
+    from .search import BooleanFormula
+
+    if (rest := src.translate(_DROP_TOKENS)) and not rest.isspace():
+        at = next(i for i, ch in enumerate(src) if ch in rest and not ch.isspace())
+        raise FormulaParseError(f"unexpected character {src[at]!r} at position {at}")
     load = ast.Load()
-    variables = [ast.Name(f"x{i}", load, **_AT) for i in range(arity)]
-    negations = {variable: ast.UnaryOp(_NOT, variable, **_AT) for variable in variables}
+    # Keyed by an index's digits without leading zeros: any other text,
+    # however long, is out of range.
+    variables = {str(i): ast.Name(f"x{i}", load, **_AT) for i in range(arity)}
+    negations = {variable: ast.UnaryOp(_NOT, variable, **_AT) for variable in variables.values()}
 
-    def take() -> tuple[str, str, int]:
-        nonlocal pos
-        token = tokens[pos]
-        if token[0] == "end":
-            raise FormulaParseError(f"unexpected end of input at position {len(src)}")
-        pos += 1
-        return token
+    # Each open "(" keeps the enclosing group's "|" terms, its current "&"
+    # terms and the "!"s pending on the "(" itself.  ``level`` counts the open
+    # "(" and the pending "!" (see ``MAX_FORMULA_DEPTH``); a flat chain of any
+    # length adds none.
+    groups: list[tuple[list[ast.expr], list[ast.expr], int]] = []
+    ors: list[ast.expr] = []
+    ands: list[ast.expr] = []
+    nots = level = 0
 
-    def too_deep(at: int) -> FormulaParseError:
-        return FormulaParseError(
-            f"formula nests deeper than {MAX_FORMULA_DEPTH} levels at position {at}"
-        )
+    def misplaced(kind: str, at: int) -> FormulaParseError:
+        # Where an operator should come, an open group expects its ")".
+        if groups:
+            return FormulaParseError(f"expected ')' at position {at}")
+        return FormulaParseError(f"unexpected token {kind!r} at position {at}")
 
-    # ``level`` counts the "(" and "!" being parsed, which the parser recurses
-    # through; a flat chain of any length adds no level (see
-    # ``MAX_FORMULA_DEPTH``).  ``parse_chain(level, ops)`` parses a chain of
-    # ``ops[0]`` over chains of the tighter ``ops[1:]``, and over
-    # ``parse_not`` once no operator is left.
-    def parse_chain(level: int, ops: str = "|&") -> ast.expr:
-        nonlocal pos
-        op, tighter = ops[0], ops[1:]
-        terms = [parse_chain(level, tighter) if tighter else parse_not(level)]
-        while tokens[pos][0] == op:
-            pos += 1
-            terms.append(parse_chain(level, tighter) if tighter else parse_not(level))
-        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT) if len(terms) > 1 else terms[0]
-
-    def parse_not(level: int) -> ast.expr:
-        nonlocal pos
-        if (token := tokens[pos])[0] == "!":
-            pos += 1
-            if level >= MAX_FORMULA_DEPTH:
-                raise too_deep(token[2])
-            inner = parse_not(level + 1)
-            return negations.get(inner) or ast.UnaryOp(_NOT, inner, **_AT)
-        return parse_atom(level)
-
-    def parse_atom(level: int) -> ast.expr:
-        kind, text, at = take()
-        if kind == "index":
-            if len(text) > arity_digits or int(text) >= arity:
+    operand = True  # an operand comes next, else an operator or the end
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        at = i
+        i += 1
+        if ch in "0123456789":
+            while i < n and src[i] in "0123456789":
+                i += 1
+            if not operand:
+                raise misplaced("index", at)
+            text = src[at:i].lstrip("0") or "0"
+            if (node := variables.get(text)) is None:
                 raise FormulaParseError(
                     f"variable index {text} out of range for arity {arity} at position {at}"
                 )
-            return variables[int(text)]
-        if kind == "(":
-            if level >= MAX_FORMULA_DEPTH:
-                raise too_deep(at)
-            node = parse_chain(level + 1)
-            closing = take()
-            if closing[0] != ")":
-                raise FormulaParseError(f"expected ')' at position {closing[2]}")
-            return node
-        raise FormulaParseError(f"unexpected token {kind!r} at position {at}")
-
-    test = parse_chain(0)
-    if (token := tokens[pos])[0] != "end":
-        raise FormulaParseError(f"unexpected token {token[0]!r} at position {token[2]}")
-
+        elif ch == ")" and not operand and groups:
+            ors.append(_chain(_AND, ands))
+            node = _chain(_OR, ors)
+            ors, ands, nots = groups.pop()
+            level -= 1
+        else:
+            if ch in "&|)":
+                if operand or ch == ")":
+                    raise FormulaParseError(f"unexpected token {ch!r} at position {at}")
+                if ch == "|":
+                    ors.append(_chain(_AND, ands))
+                    ands = []
+                operand = True
+            elif ch in "!(":
+                if not operand:
+                    raise misplaced(ch, at)
+                if level >= MAX_FORMULA_DEPTH:
+                    raise FormulaParseError(
+                        f"formula nests deeper than {MAX_FORMULA_DEPTH} levels at position {at}"
+                    )
+                level += 1
+                if ch == "!":
+                    nots += 1
+                else:
+                    groups.append((ors, ands, nots))
+                    ors, ands, nots = [], [], 0
+            continue
+        # An operand ends here: apply its pending "!"s, innermost first.
+        level -= nots
+        while nots:
+            node = negations.get(node) or ast.UnaryOp(_NOT, node, **_AT)
+            nots -= 1
+        ands.append(node)
+        operand = False
+    if operand or groups:
+        raise FormulaParseError(f"unexpected end of input at position {n}")
+    ors.append(_chain(_AND, ands))
+    test = _chain(_OR, ors)
     return BooleanFormula(arity, _compile(test, arity))
 
 
@@ -365,6 +351,14 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
     every utility is an exact ``int``, as in any document read from JSON, it
     returns one tuple object per distinct vector.
     """
+    from .games import (
+        SequentialGameSpec,
+        SimultaneousGameSpec,
+        Stage,
+        _repeated_index,
+        _validate_sequential,
+    )
+
     if not isinstance(doc, dict):
         raise GameFileError("game document must be a JSON object")
     kind = doc.get("type")
@@ -428,6 +422,8 @@ def parse_game(doc: dict) -> SequentialGameSpec | SimultaneousGameSpec:
 
 
 def _cmd_demo_callcc(args: argparse.Namespace) -> int:
+    from .callcc import demo_bar, demo_foo
+
     demo = demo_foo if args.which == "foo" else demo_bar
     log, result = demo((lambda n: n * 2) if args.outer == "double" else None)
     for line in log:
@@ -464,6 +460,8 @@ def _read_json(path: str) -> Any:
 
 def _cmd_demo_sat(args: argparse.Namespace) -> int:
     _check_bound("--vars", args.vars, 1, MAX_DEMO_SAT_VARS)
+    from .search import _sat_callcc_outcome, format_assignment
+
     outcome = _sat_callcc_outcome(parse_formula(args.formula, args.vars))
     # One call writes the trace's own log a line at a time, without copying it.
     sys.stdout.writelines(itertools.chain.from_iterable(zip(outcome.log, itertools.repeat("\n"))))
@@ -472,6 +470,8 @@ def _cmd_demo_sat(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .games import SequentialGameSpec, backward_induction, simultaneous_equilibria
+
     game = parse_game(_read_json(args.file))
     if isinstance(game, SequentialGameSpec):
         play, outcome = backward_induction(game)

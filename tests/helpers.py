@@ -9,7 +9,8 @@ import sys
 import textwrap
 from pathlib import Path
 
-from selcc import SelectionComputation, sel_bind, sel_map, sel_unit
+from selcc import BooleanFormula, SelectionComputation, sel_bind, sel_map, sel_unit
+from selcc.cli import _AND, _AT, _NOT, _OR, MAX_FORMULA_DEPTH, FormulaParseError, _compile
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -99,3 +100,116 @@ def unshared_callcc_term(monad, handler, eff):
         return monad.run(handler(reified), k1)
 
     return monad.computation(run, eff)
+
+
+_BOOL_OPS = {"&": _AND, "|": _OR}
+
+
+def _lex(src: str) -> list[tuple[str, str, int]]:
+    """``src`` as (kind, text, position) tokens, closed by an "end" token.
+
+    Only the ASCII digits ``0``-``9`` form an index (``str.isdigit`` also
+    accepts "²" and "٢").  An index's text drops its leading zeros and stays
+    text, since ``int`` refuses runs of more than 4,300 digits.
+    """
+    tokens: list[tuple[str, str, int]] = []
+    append = tokens.append
+    n = len(src)
+    i = 0
+    while i < n:
+        ch = src[i]
+        if ch in "!&|()":
+            append((ch, ch, i))
+            i += 1
+        elif ch in "0123456789":
+            start = i
+            i += 1
+            while i < n and src[i] in "0123456789":
+                i += 1
+            append(("index", src[start:i].lstrip("0") or "0", start))
+        elif ch.isspace():
+            i += 1
+        else:
+            raise FormulaParseError(f"unexpected character {ch!r} at position {i}")
+    append(("end", "", n))
+    return tokens
+
+
+def reference_parse_formula(src: str, arity: int) -> BooleanFormula:
+    """The two-pass parser ``parse_formula`` replaced, a reference for it: a
+    lexer builds a token list, then recursive descent over the grammar
+
+        or   := and ("|" and)*
+        and  := not ("&" not)*
+        not  := "!" not | atom
+        atom := decimal-index | "(" or ")"
+
+    builds the same ``ast`` expression, which :func:`selcc.cli._compile`
+    compiles, and raises the same :class:`FormulaParseError` messages.  It
+    recurses through four frames per parenthesis and one per "!"."""
+    tokens = _lex(src)
+    pos = 0
+    # An index with more digits than ``arity`` is out of range, however long.
+    arity_digits = len(str(arity))
+    load = ast.Load()
+    variables = [ast.Name(f"x{i}", load, **_AT) for i in range(arity)]
+    negations = {variable: ast.UnaryOp(_NOT, variable, **_AT) for variable in variables}
+
+    def take() -> tuple[str, str, int]:
+        nonlocal pos
+        token = tokens[pos]
+        if token[0] == "end":
+            raise FormulaParseError(f"unexpected end of input at position {len(src)}")
+        pos += 1
+        return token
+
+    def too_deep(at: int) -> FormulaParseError:
+        return FormulaParseError(
+            f"formula nests deeper than {MAX_FORMULA_DEPTH} levels at position {at}"
+        )
+
+    # ``level`` counts the "(" and "!" being parsed.  ``parse_chain(level,
+    # ops)`` parses a chain of ``ops[0]`` over chains of the tighter
+    # ``ops[1:]``, and over ``parse_not`` once no operator is left.
+    def parse_chain(level: int, ops: str = "|&") -> ast.expr:
+        nonlocal pos
+        op, tighter = ops[0], ops[1:]
+        terms = [parse_chain(level, tighter) if tighter else parse_not(level)]
+        while tokens[pos][0] == op:
+            pos += 1
+            terms.append(parse_chain(level, tighter) if tighter else parse_not(level))
+        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT) if len(terms) > 1 else terms[0]
+
+    def parse_not(level: int) -> ast.expr:
+        nonlocal pos
+        if (token := tokens[pos])[0] == "!":
+            pos += 1
+            if level >= MAX_FORMULA_DEPTH:
+                raise too_deep(token[2])
+            inner = parse_not(level + 1)
+            return negations.get(inner) or ast.UnaryOp(_NOT, inner, **_AT)
+        return parse_atom(level)
+
+    def parse_atom(level: int) -> ast.expr:
+        kind, text, at = take()
+        if kind == "index":
+            if len(text) > arity_digits or int(text) >= arity:
+                raise FormulaParseError(
+                    f"variable index {text} out of range for arity {arity} at position {at}"
+                )
+            return variables[int(text)]
+        if kind == "(":
+            if level >= MAX_FORMULA_DEPTH:
+                raise too_deep(at)
+            node = parse_chain(level + 1)
+            closing = take()
+            if closing[0] != ")":
+                raise FormulaParseError(f"expected ')' at position {closing[2]}")
+            return node
+        raise FormulaParseError(f"unexpected token {kind!r} at position {at}")
+
+    test = parse_chain(0)
+    if (token := tokens[pos])[0] != "end":
+        raise FormulaParseError(f"unexpected token {token[0]!r} at position {token[2]}")
+
+    return BooleanFormula(arity, _compile(test, arity))

@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import json
+import marshal
 import random
 import re
 import subprocess
@@ -46,7 +47,7 @@ from selcc.cli import (
     MAX_SEQUENTIAL_STAGES,
 )
 
-from helpers import child_env, source_mutant
+from helpers import child_env, reference_parse_formula, source_mutant
 
 _SEQ_DOC = {
     "type": "sequential",
@@ -382,23 +383,24 @@ class TestCompiledFormula:
         _assert_cnfs_agree_with_clause_evaluation((0, 1))
         _assert_chains_agree_with_python((0, 1))
 
-    def test_a_broken_merge_is_caught(self):
+    def test_a_broken_merge_is_caught(self, monkeypatch):
         # Appends the terms after a parenthesised group to that group,
         # whatever its operator: "(0|1)&2" becomes "0|1|2".
         folds_into_left_group = source_mutant(
-            parse_formula,
+            cli._chain,
             (
-                "return ast.BoolOp(_BOOL_OPS[op], terms, **_AT) if len(terms) > 1 else terms[0]",
+                "return ast.BoolOp(op, terms, **_AT) if len(terms) > 1 else terms[0]",
                 "if isinstance(terms[0], ast.BoolOp):\n"
-                "            terms[0].values += terms[1:]\n"
-                "            return terms[0]\n"
-                "        return ast.BoolOp(_BOOL_OPS[op], terms, **_AT) if len(terms) > 1 else terms[0]",
+                "        terms[0].values += terms[1:]\n"
+                "        return terms[0]\n"
+                "    return ast.BoolOp(op, terms, **_AT) if len(terms) > 1 else terms[0]",
             ),
         )
+        monkeypatch.setattr(cli, "_chain", folds_into_left_group)
         with pytest.raises(AssertionError):
-            _assert_cnfs_agree_with_clause_evaluation(parse=folds_into_left_group)
+            _assert_cnfs_agree_with_clause_evaluation()
         with pytest.raises(AssertionError):
-            _assert_chains_agree_with_python(parse=folds_into_left_group)
+            _assert_chains_agree_with_python()
 
     def test_a_cnf_of_426_clauses_over_100_variables_agrees_with_a_clause_evaluator(self):
         # A flat "&" chain of any length is one node, however many clauses.
@@ -489,17 +491,105 @@ class TestParseOutcomes:
         assert kinds["table"] > 500 and kinds.total() - kinds["table"] > 500, kinds
 
     @pytest.mark.parametrize(
-        "old, new",
+        "edits",
         [
-            ('ops: str = "|&"', 'ops: str = "&|"'),
-            ("at position {closing[2]}", "at position {closing[2] + 1}"),
-            ("raise too_deep(token[2])", "raise too_deep(token[2] - 1)"),
+            # "|" extends the tighter chain, of "|" nodes, and "&" the looser.
+            [
+                ('if ch == "|":', 'if ch == "&":'),
+                ("_chain(_AND, ands)", "_chain(_OR, ands)"),
+                ("_chain(_OR, ors)", "_chain(_AND, ors)"),
+            ],
+            [("expected ')' at position {at}", "expected ')' at position {at + 1}")],
+            # Only a "!" past the limit reads one position early.
+            [("levels at position {at}", "levels at position {at - (ch == '!')}")],
         ],
         ids=["swapped precedence", "shifted parenthesis error", "shifted depth error"],
     )
-    def test_a_changed_outcome_is_caught(self, old, new):
-        digest, _ = _parse_outcomes(source_mutant(parse_formula, (old, new)))
+    def test_a_changed_outcome_is_caught(self, edits):
+        digest, _ = _parse_outcomes(source_mutant(parse_formula, *edits))
         assert digest != _PARSE_OUTCOMES_SHA256
+
+
+def _formula_outcome(parse, src: str, arity: int) -> str | bytes:
+    """The error message of ``parse`` on ``src``, or the marshalled code of
+    the formula it compiles."""
+    try:
+        formula = parse(src, arity)
+    except FormulaParseError as exc:
+        return str(exc)
+    return marshal.dumps(formula.evaluate.__code__)
+
+
+class TestReferenceParser:
+    """``parse_formula`` against the two-pass parser it replaced."""
+
+    def test_valid_formulas_compile_to_the_same_code(self):
+        rng = random.Random(40)
+        cases = [(_cnf_text(_random_cnf(rng, n)), n) for n in range(8, 13) for _ in range(12)]
+        cases.append((_cnf_text(_random_cnf(rng, 100, 426)), 100))
+        cases += [(op.join(str(i % 12) for i in range(50_000)), 12) for op in "|&"]
+        # The three formulas at the depth limit that CI pins.
+        depth = MAX_FORMULA_DEPTH
+        mixed = "".join(f"{i % 12}{'&' if i % 2 else '|'}(" for i in range(depth))
+        cases += [
+            (mixed + "11" + ")" * depth, 12),
+            ("!" * (depth - 1) + "0", 12),
+            ("0|0&(" * depth + "0" + ")" * depth, 12),
+        ]
+        cases += [(text, 5) for text in _MIXED_CHAINS + [_random_chain(rng, 5) for _ in range(200)]]
+        cases += [(" 0 & 1 ", 2), ("!!0", 1), ("007|!(00)", 8)]
+        for src, arity in cases:
+            code = _formula_outcome(parse_formula, src, arity)
+            assert isinstance(code, bytes), (src[:60], code)
+            assert code == _formula_outcome(reference_parse_formula, src, arity), src[:60]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "0)$",
+            "(0 1$",
+            "0 1",
+            "0(",
+            "0!",
+            "(0!",
+            "0&",
+            "(0|",
+            "",
+            " ",
+            "!",
+            ")",
+            "0&)",
+            "12",
+            "0" * 5000 + "1",
+            "9" * 5000,
+            "0\u00b2",
+        ]
+        + [
+            text
+            for depth in (MAX_FORMULA_DEPTH, MAX_FORMULA_DEPTH + 1)
+            for text in (
+                "(" * depth + "0" + ")" * depth,
+                "!" * depth + "0",
+                "!(" * depth + "0" + ")" * depth,
+            )
+        ],
+        ids=lambda src: src if len(src) <= 8 else f"{src[:4]}..({len(src)})",
+    )
+    def test_edges_have_the_same_outcome(self, src):
+        assert _formula_outcome(parse_formula, src, 2) == _formula_outcome(
+            reference_parse_formula, src, 2
+        )
+
+    def test_seeded_strings_have_the_same_outcome(self):
+        rng = random.Random(40)
+        errors = 0
+        for _ in range(2000):
+            arity = rng.randint(1, 12)
+            src = _random_formula_source(rng, arity)
+            outcome = _formula_outcome(parse_formula, src, arity)
+            assert outcome == _formula_outcome(reference_parse_formula, src, arity), (arity, src)
+            errors += isinstance(outcome, str)
+        assert 500 < errors < 1500, errors
 
 
 class TestParseGame:
@@ -997,7 +1087,7 @@ class TestDemoCommands:
         assert capsys.readouterr().out.splitlines()[-1] == "[True]"
 
     def test_sat_demo_accepts_a_formula_at_the_depth_limit(self, capsys):
-        # Parentheses take the most parser frames per level.
+        # 200 nested parentheses, the deepest that the limit admits.
         depth = MAX_FORMULA_DEPTH
         formula = "(" * depth + "0" + ")" * depth
         assert main(["demo-sat", "--vars", "1", "--formula", formula]) == 0

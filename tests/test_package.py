@@ -44,6 +44,32 @@ class TestLoadingOnFirstUse:
             assert "selcc.cli" in loaded, argv
             assert "selcc.laws" not in loaded and "random" not in loaded, argv
 
+    def test_formulas_load_no_games(self):
+        for code in (
+            "import selcc\nselcc.parse_formula('0&1', 2)",
+            "import selcc\nassert selcc.main(['demo-sat', '--vars', '3', '--formula', '0&1']) == 0",
+        ):
+            loaded = modules_loaded_by(code)
+            assert "selcc.search" in loaded, code
+            assert "selcc.games" not in loaded, code
+
+    def test_games_load_neither_the_search_nor_callcc(self, tmp_path):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(_SEQ_DOC))
+        for code in (
+            "import selcc\nselcc.parse_game(" + repr(_SEQ_DOC) + ")",
+            f"import selcc\nassert selcc.main(['solve', {str(game)!r}]) == 0",
+        ):
+            loaded = modules_loaded_by(code)
+            assert "selcc.games" in loaded, code
+            assert "selcc.search" not in loaded and "selcc.callcc" not in loaded, code
+
+    def test_the_dialogues_load_callcc_but_no_games(self):
+        argv = ["demo-callcc", "--which", "foo"]
+        loaded = modules_loaded_by(f"import selcc\nassert selcc.main({argv!r}) == 0")
+        assert "selcc.callcc" in loaded
+        assert "selcc.games" not in loaded
+
     def test_the_laws_command_loads_the_laws(self):
         loaded = modules_loaded_by("import selcc\nassert selcc.main(['laws', '--samples', '0']) == 0")
         assert "selcc.laws" in loaded and "random" in loaded
